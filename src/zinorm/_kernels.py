@@ -1,9 +1,4 @@
-"""Mantel-Haenszel accumulation kernels.
-
-Both a numba-compiled and a pure-numpy implementation are provided; the
-active one is chosen at import time from the ``ZINORM_BACKEND`` environment
-variable (``numba``, the default, or ``numpy``). When numba is requested but
-not importable the numpy path is used and a note is logged.
+"""Mantel-Haenszel accumulation over the strata of 2x2 tables.
 
 Each kernel consumes the four cell arrays a, b, c, d of 2x2 tables
 (group mentioned / group not mentioned / world mentioned / world not
@@ -16,157 +11,45 @@ mentioned) and returns the pooled sums
     qs     = sum Q*s_f          with Q = 1-P
     contributing = number of strata with r_f > 0 or s_f > 0
 
-used by the quotient value r/s and its log-scale variance. Callers must
-guarantee n = a+b+c+d > 0 for every stratum; profiles built by this package
-never contain empty strata.
+used by the quotient value r/s and its log-scale variance. `mh_accumulate`
+takes one profile's 1-D cells and returns Python scalars; `mh_batch` takes
+(replications, strata) cells and returns arrays. Both evaluate the same
+numpy sums. Callers must guarantee n = a+b+c+d > 0 for every stratum;
+profiles built by this package never contain empty strata.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 import numpy as np
 
-logger = logging.getLogger(__name__)
 
-_ENV_VAR = "ZINORM_BACKEND"
-_CHOICES = ("numba", "numpy")
-
-
-def _mh_accumulate_py(a, b, c, d):
-    r = 0.0
-    s = 0.0
-    pr = 0.0
-    cross = 0.0
-    qs = 0.0
-    contributing = 0
-    for f in range(a.shape[0]):
-        n = a[f] + b[f] + c[f] + d[f]
-        rf = a[f] * d[f] / n
-        sf = b[f] * c[f] / n
-        p = (a[f] + d[f]) / n
-        q = 1.0 - p
-        r += rf
-        s += sf
-        pr += p * rf
-        cross += p * sf + q * rf
-        qs += q * sf
-        if rf > 0.0 or sf > 0.0:
-            contributing += 1
-    return r, s, pr, cross, qs, contributing
-
-
-def _mh_batch_py(a, b, c, d):
-    reps, strata = a.shape
-    r = np.zeros(reps)
-    s = np.zeros(reps)
-    pr = np.zeros(reps)
-    cross = np.zeros(reps)
-    qs = np.zeros(reps)
-    contributing = np.zeros(reps, dtype=np.int64)
-    for i in range(reps):
-        for f in range(strata):
-            n = a[i, f] + b[i, f] + c[i, f] + d[i, f]
-            rf = a[i, f] * d[i, f] / n
-            sf = b[i, f] * c[i, f] / n
-            p = (a[i, f] + d[i, f]) / n
-            q = 1.0 - p
-            r[i] += rf
-            s[i] += sf
-            pr[i] += p * rf
-            cross[i] += p * sf + q * rf
-            qs[i] += q * sf
-            if rf > 0.0 or sf > 0.0:
-                contributing[i] += 1
-    return r, s, pr, cross, qs, contributing
-
-
-def mh_accumulate_numpy(a, b, c, d):
-    """Vectorized single-profile accumulation over 1-D cell arrays."""
+def _mh_sums(a, b, c, d):
+    """Pooled sums over the last (strata) axis of float64 cell arrays."""
     n = a + b + c + d
     rf = a * d / n
     sf = b * c / n
     p = (a + d) / n
     q = 1.0 - p
     return (
-        float(rf.sum()),
-        float(sf.sum()),
-        float((p * rf).sum()),
-        float((p * sf + q * rf).sum()),
-        float((q * sf).sum()),
-        int(((rf > 0.0) | (sf > 0.0)).sum()),
+        rf.sum(axis=-1),
+        sf.sum(axis=-1),
+        (p * rf).sum(axis=-1),
+        (p * sf + q * rf).sum(axis=-1),
+        (q * sf).sum(axis=-1),
+        ((rf > 0.0) | (sf > 0.0)).sum(axis=-1),
     )
 
 
-def mh_batch_numpy(a, b, c, d):
-    """Vectorized accumulation over (replications, strata) cell arrays."""
-    n = a + b + c + d
-    rf = a * d / n
-    sf = b * c / n
-    p = (a + d) / n
-    q = 1.0 - p
-    return (
-        rf.sum(axis=1),
-        sf.sum(axis=1),
-        (p * rf).sum(axis=1),
-        (p * sf + q * rf).sum(axis=1),
-        (q * sf).sum(axis=1),
-        ((rf > 0.0) | (sf > 0.0)).sum(axis=1).astype(np.int64),
-    )
-
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via ZINORM_BACKEND=numpy
-    njit = None
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-    mh_accumulate_numba = njit(cache=True)(_mh_accumulate_py)
-    mh_batch_numba = njit(cache=True)(_mh_batch_py)
-else:  # pragma: no cover
-    mh_accumulate_numba = None
-    mh_batch_numba = None
-
-
-def _select_backend() -> str:
-    choice = os.environ.get(_ENV_VAR, "numba").strip().lower()
-    if choice not in _CHOICES:
-        raise ValueError(
-            f"{_ENV_VAR} must be one of {_CHOICES}, got {choice!r}"
-        )
-    if choice == "numba" and not HAS_NUMBA:
-        logger.info("numba unavailable, falling back to the numpy backend")
-        return "numpy"
-    return choice
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba":
-    _accumulate_impl = mh_accumulate_numba
-    _batch_impl = mh_batch_numba
-else:
-    _accumulate_impl = mh_accumulate_numpy
-    _batch_impl = mh_batch_numpy
+def _float_cells(*cells):
+    return [np.asarray(x, dtype=np.float64) for x in cells]
 
 
 def mh_accumulate(a, b, c, d):
-    """Accumulate one profile's strata; see the module docstring for outputs."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    return _accumulate_impl(a, b, c, d)
+    """Accumulate one profile's strata (1-D cells) into Python scalars."""
+    r, s, pr, cross, qs, contributing = _mh_sums(*_float_cells(a, b, c, d))
+    return float(r), float(s), float(pr), float(cross), float(qs), int(contributing)
 
 
 def mh_batch(a, b, c, d):
-    """Accumulate many replications at once; arrays are (reps, strata)."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    return _batch_impl(a, b, c, d)
+    """Accumulate many replications at once; cells are (reps, strata)."""
+    return _mh_sums(*_float_cells(a, b, c, d))

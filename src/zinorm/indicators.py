@@ -5,19 +5,27 @@ the world's, where the world profile contains the group. Values are ratios:
 1.0 means the group performs like the world baseline. Intervals are normal
 approximations on the log scale (except MNPC, whose interval is assembled
 from per-stratum log-scale intervals) using the fixed 95% quantile 1.96.
+
+Each formula is written once, as an array function over cells shaped
+``(..., strata)`` that returns an `Estimate`: a single report evaluates it
+on 1-D cells through the profile-level functions (`emnpc`, `mnpc`, `mhq`,
+`mhq_prime`), and the coverage experiment on ``(replications, strata)``
+cells.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from ._kernels import mh_accumulate
+from ._kernels import mh_accumulate, mh_batch
 from .errors import DegenerateComputationError, InputDataError
-from .profiles import CountProfile, StratumKey
+from .profiles import CellCounts, CountProfile, StratumKey
 
 #: Normal quantile used by every interval here; fixed rather than configurable.
 Z95 = 1.96
@@ -94,6 +102,30 @@ def pooled_proportion(profile: CountProfile) -> float:
     return profile.total_mentioned / total
 
 
+def _counts(cells: Iterable[CellCounts]) -> np.ndarray:
+    """Mentioned and not-mentioned counts as the rows of a (2, strata) array."""
+    flat = np.fromiter(
+        chain.from_iterable((cell.mentioned, cell.not_mentioned) for cell in cells),
+        dtype=np.float64,
+    )
+    return flat.reshape(-1, 2).T
+
+
+def _mentioned_and_total(
+    cells: Iterable[CellCounts],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mentioned and total counts per stratum; every stratum must have papers."""
+    mentioned, not_mentioned = _counts(cells)
+    total = mentioned + not_mentioned
+    if not total.all():
+        raise DegenerateComputationError("stratum has no papers")
+    return mentioned, total
+
+
+def _equalized(mentioned: np.ndarray, total: np.ndarray) -> np.ndarray:
+    return (mentioned / total).mean(axis=-1)
+
+
 def equalized_proportion(profile: CountProfile) -> float:
     """Unweighted mean of per-stratum mentioned proportions.
 
@@ -104,7 +136,128 @@ def equalized_proportion(profile: CountProfile) -> float:
         raise DegenerateComputationError(
             f"profile {profile.label!r} has no strata"
         )
-    return sum(cell.proportion_mentioned for _, cell in profile.items()) / len(profile)
+    cells = (cell for _, cell in profile.items())
+    return float(_equalized(*_mentioned_and_total(cells)))
+
+
+class Estimate(NamedTuple):
+    """Indicator values and 95% bounds over the leading axes of the cells.
+
+    Where ``degenerate`` is true the interval is undefined, and the value
+    and both bounds are NaN. ``strata_used`` counts contributing strata.
+    """
+
+    value: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    degenerate: np.ndarray
+    strata_used: np.ndarray
+
+
+def _estimate(value, lower, upper, degenerate, strata_used) -> Estimate:
+    value, lower, upper = (
+        np.where(degenerate, np.nan, x) for x in (value, lower, upper)
+    )
+    strata_used = np.broadcast_to(strata_used, np.shape(degenerate))
+    return Estimate(value, lower, upper, degenerate, strata_used)
+
+
+def emnpc_arrays(
+    group_mentioned: np.ndarray,
+    group_total: np.ndarray,
+    world_mentioned: np.ndarray,
+    world_total: np.ndarray,
+) -> Estimate:
+    """EMNPC over per-stratum counts shaped ``(..., strata)``.
+
+    The group counts cover the group's strata and the world counts those
+    of the world baseline, so the two strata axes may differ in length.
+    Degenerate where either equalized proportion is zero.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_g = _equalized(group_mentioned, group_total)
+        p_w = _equalized(world_mentioned, world_total)
+        half_width = Z95 * np.sqrt(
+            ((1.0 - p_g) / p_g) / group_total.sum(axis=-1)
+            + ((1.0 - p_w) / p_w) / world_total.sum(axis=-1)
+        )
+        value = p_g / p_w
+        return _estimate(
+            value,
+            value * np.exp(-half_width),
+            value * np.exp(half_width),
+            (p_g == 0) | (p_w == 0),
+            np.shape(group_mentioned)[-1],
+        )
+
+
+def mnpc_arrays(
+    group_mentioned: np.ndarray,
+    group_total: np.ndarray,
+    world_mentioned: np.ndarray,
+    world_total: np.ndarray,
+) -> Estimate:
+    """MNPC over per-stratum counts shaped ``(..., strata)``.
+
+    Group and world counts both cover the group's strata. Degenerate where
+    some stratum has a zero group or world mentioned proportion.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_gf = group_mentioned / group_total
+        p_wf = world_mentioned / world_total
+        weights = group_total / group_total.sum(axis=-1, keepdims=True)
+        ratio = p_gf / p_wf
+        half_width = Z95 * np.sqrt(
+            ((1.0 - p_gf) / p_gf) / group_total
+            + ((1.0 - p_wf) / p_wf) / world_total
+        )
+        lower_f = ratio * np.exp(-half_width)
+        upper_f = ratio * np.exp(half_width)
+        value = (weights * ratio).sum(axis=-1)
+        lower = value - (weights * (ratio - lower_f)).sum(axis=-1)
+        upper = value + (weights * (upper_f - ratio)).sum(axis=-1)
+    degenerate = ((p_gf == 0) | (p_wf == 0)).any(axis=-1)
+    return _estimate(value, lower, upper, degenerate, np.shape(group_mentioned)[-1])
+
+
+def mh_quotient_arrays(
+    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
+) -> Estimate:
+    """Mantel-Haenszel quotient over cells shaped ``(..., strata)``.
+
+    a, b are the group's cells and c, d the comparison row's. The interval
+    uses the Robins-Breslow-Greenland log-scale variance. Degenerate where
+    the pooled numerator or denominator is zero; ``strata_used`` counts the
+    strata with a nonzero numerator or denominator term.
+    """
+    kernel = mh_accumulate if np.ndim(a) == 1 else mh_batch
+    r, s, pr, cross, qs, contributing = (
+        np.asarray(x) for x in kernel(a, b, c, d)
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        variance = 0.5 * (pr / r**2 + cross / (r * s) + qs / s**2)
+        half_width = Z95 * np.sqrt(variance)
+        value = r / s
+        return _estimate(
+            value,
+            value * np.exp(-half_width),
+            value * np.exp(half_width),
+            (r == 0) | (s == 0),
+            contributing,
+        )
+
+
+def _result(
+    kind: IndicatorKind, estimate: Estimate, notes: Iterable[str] = ()
+) -> IndicatorResult:
+    return IndicatorResult(
+        kind=kind,
+        value=float(estimate.value),
+        ci_lower=float(estimate.lower),
+        ci_upper=float(estimate.upper),
+        strata_used=int(estimate.strata_used),
+        notes=tuple(notes),
+    )
 
 
 def _require_subset(group: CountProfile, world: CountProfile) -> None:
@@ -122,25 +275,17 @@ def _require_subset(group: CountProfile, world: CountProfile) -> None:
 
 def _cell_arrays(
     group: CountProfile, world: CountProfile
-) -> tuple[list[StratumKey], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[tuple[StratumKey, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group and world cells over the group's strata, dominance-checked."""
-    keys = list(group.strata())
-    a = np.empty(len(keys))
-    b = np.empty(len(keys))
-    c = np.empty(len(keys))
-    d = np.empty(len(keys))
-    for i, key in enumerate(keys):
-        g = group[key]
-        w = world[key]
-        if g.mentioned > w.mentioned or g.not_mentioned > w.not_mentioned:
-            raise InputDataError(
-                f"stratum {key}: group {group.label!r} counts exceed the "
-                "world counts; the world must contain the group"
-            )
-        a[i] = g.mentioned
-        b[i] = g.not_mentioned
-        c[i] = w.mentioned
-        d[i] = w.not_mentioned
+    keys = group.strata()
+    a, b = _counts(cell for _, cell in group.items())
+    c, d = _counts(world[key] for key in keys)
+    exceeds = (a > c) | (b > d)
+    if exceeds.any():
+        raise InputDataError(
+            f"stratum {keys[int(exceeds.argmax())]}: group {group.label!r} "
+            "counts exceed the world counts; the world must contain the group"
+        )
     return keys, a, b, c, d
 
 
@@ -169,37 +314,28 @@ def emnpc(
         )
     _require_subset(group, world)
 
-    world_for_baseline = (
-        world if world_strata == "all" else world.restrict(group.strata())
-    )
-    p_g = equalized_proportion(group)
-    p_w = equalized_proportion(world_for_baseline)
-    if p_g == 0 or p_w == 0:
+    group_counts = _mentioned_and_total(cell for _, cell in group.items())
+    if world_strata == "all":
+        world_cells = (cell for _, cell in world.items())
+    else:
+        world_cells = (world[key] for key in group.strata())
+    world_counts = _mentioned_and_total(world_cells)
+    estimate = emnpc_arrays(*group_counts, *world_counts)
+    if estimate.degenerate:
+        p_g = _equalized(*group_counts)
+        p_w = _equalized(*world_counts)
         raise DegenerateComputationError(
             "equalized proportion is zero for "
             f"{group.label!r} vs world ({p_g:g} / {p_w:g}); apply a "
             "continuity correction or drop the empty strata"
         )
-    n_g = group.total_papers
-    n_w = world_for_baseline.total_papers
-    half_width = Z95 * math.sqrt(
-        ((1.0 - p_g) / p_g) / n_g + ((1.0 - p_w) / p_w) / n_w
-    )
-    value = p_g / p_w
     notes = [
         "interval width combines stratum-equalized proportions with pooled "
         "paper totals"
     ]
     if world_strata == "group":
         notes.append("world baseline averaged over the group's strata only")
-    return IndicatorResult(
-        kind=IndicatorKind.EMNPC,
-        value=value,
-        ci_lower=value * math.exp(-half_width),
-        ci_upper=value * math.exp(half_width),
-        strata_used=len(group),
-        notes=tuple(notes),
-    )
+    return _result(IndicatorKind.EMNPC, estimate, notes)
 
 
 def mnpc(group: CountProfile, world: CountProfile) -> IndicatorResult:
@@ -222,49 +358,31 @@ def mnpc(group: CountProfile, world: CountProfile) -> IndicatorResult:
     """
     _require_subset(group, world)
     keys, a, b, c, d = _cell_arrays(group, world)
-
     n_gf = a + b
     n_wf = c + d
-    n_g = float(n_gf.sum())
-    if n_g == 0:
+    if n_gf.sum() == 0:
         raise DegenerateComputationError(
             f"group {group.label!r} has no papers"
         )
-    p_gf = a / n_gf
-    p_wf = c / n_wf
-    for i, key in enumerate(keys):
-        if p_wf[i] == 0:
+    estimate = mnpc_arrays(a, n_gf, c, n_wf)
+    if estimate.degenerate:
+        with np.errstate(invalid="ignore"):
+            world_zero = c / n_wf == 0
+            group_zero = a / n_gf == 0
+        i = int((world_zero | group_zero).argmax())
+        if world_zero[i]:
             raise DegenerateComputationError(
-                f"stratum {key}: world has no mentioned papers; apply a "
+                f"stratum {keys[i]}: world has no mentioned papers; apply a "
                 "continuity correction or drop the stratum"
             )
-        if p_gf[i] == 0:
-            raise DegenerateComputationError(
-                f"stratum {key}: group {group.label!r} has no mentioned "
-                "papers; apply a continuity correction"
-            )
-
-    weights = n_gf / n_g
-    ratio = p_gf / p_wf
-    half_width = Z95 * np.sqrt(
-        ((1.0 - p_gf) / p_gf) / n_gf + ((1.0 - p_wf) / p_wf) / n_wf
-    )
-    lower_f = ratio * np.exp(-half_width)
-    upper_f = ratio * np.exp(half_width)
-
-    value = float(np.sum(weights * ratio))
-    lower = value - float(np.sum(weights * (ratio - lower_f)))
-    upper = value + float(np.sum(weights * (upper_f - ratio)))
-    return IndicatorResult(
-        kind=IndicatorKind.MNPC,
-        value=value,
-        ci_lower=lower,
-        ci_upper=upper,
-        strata_used=len(keys),
-    )
+        raise DegenerateComputationError(
+            f"stratum {keys[i]}: group {group.label!r} has no mentioned "
+            "papers; apply a continuity correction"
+        )
+    return _result(IndicatorKind.MNPC, estimate)
 
 
-def _mh_from_cells(
+def _mh_result(
     kind: IndicatorKind,
     label: str,
     a: np.ndarray,
@@ -273,30 +391,20 @@ def _mh_from_cells(
     d: np.ndarray,
     notes: list[str],
 ) -> IndicatorResult:
-    r, s, pr, cross, qs, contributing = mh_accumulate(a, b, c, d)
-    if r == 0 or s == 0:
-        side = "numerator" if r == 0 else "denominator"
+    estimate = mh_quotient_arrays(a, b, c, d)
+    if estimate.degenerate:
+        side = "denominator" if (a * d).any() else "numerator"
         raise DegenerateComputationError(
             f"{kind} for {label!r}: pooled {side} is zero; the quotient "
             "is undefined"
         )
-    skipped = len(a) - contributing
+    skipped = len(a) - int(estimate.strata_used)
     if skipped:
         notes.append(
             f"{skipped} stratum(s) with empty numerator and denominator "
             "contributed nothing"
         )
-    variance = 0.5 * (pr / r**2 + cross / (r * s) + qs / s**2)
-    half_width = Z95 * math.sqrt(variance)
-    value = r / s
-    return IndicatorResult(
-        kind=kind,
-        value=value,
-        ci_lower=value * math.exp(-half_width),
-        ci_upper=value * math.exp(half_width),
-        strata_used=contributing,
-        notes=tuple(notes),
-    )
+    return _result(kind, estimate, notes)
 
 
 def mhq(group: CountProfile, world: CountProfile) -> IndicatorResult:
@@ -316,7 +424,7 @@ def mhq(group: CountProfile, world: CountProfile) -> IndicatorResult:
     """
     _require_subset(group, world)
     _, a, b, c, d = _cell_arrays(group, world)
-    return _mh_from_cells(IndicatorKind.MHQ, group.label, a, b, c, d, [])
+    return _mh_result(IndicatorKind.MHQ, group.label, a, b, c, d, [])
 
 
 def mhq_prime(group: CountProfile, world: CountProfile) -> IndicatorResult:
@@ -351,7 +459,7 @@ def mhq_prime(group: CountProfile, world: CountProfile) -> IndicatorResult:
             f"group {group.label!r} is the entire world in every stratum; "
             "nothing remains to compare against"
         )
-    return _mh_from_cells(
+    return _mh_result(
         IndicatorKind.MHQ_PRIME,
         group.label,
         a[keep],

@@ -160,16 +160,12 @@ class FilterConfig:
     """Stratum-level filtering policy applied before computing indicators."""
 
     min_stratum_papers: int = 10
-    require_nonzero_world_cells: bool = True
-    year_range: tuple[int, int] = DEFAULT_YEAR_RANGE
     restrict_to_group_strata: str | None = None
     zero_handling: str = "correct"
 
     def __post_init__(self) -> None:
         if self.min_stratum_papers < 0:
             raise InputDataError("min_stratum_papers must be non-negative")
-        if self.year_range[0] > self.year_range[1]:
-            raise InputDataError("year_range lower bound exceeds upper bound")
         if self.zero_handling not in ("correct", "drop"):
             raise InputDataError(
                 f"zero_handling must be 'correct' or 'drop', got {self.zero_handling!r}"
@@ -347,7 +343,7 @@ def apply_filters(
             still.append(key)
     keep = still
 
-    if config.require_nonzero_world_cells and config.zero_handling == "drop":
+    if config.zero_handling == "drop":
         still = []
         for key in keep:
             cell = world[key]

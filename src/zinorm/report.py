@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import BACKEND
 from .errors import DegenerateComputationError, InputDataError
 from .indicators import (
     KIND_ORDER,
@@ -328,12 +327,12 @@ def run_report(config: ReportConfig) -> dict:
     strata with reasons, corrections, and notes).
     """
     try:
-        with open(config.publications, newline="", encoding="utf-8") as fh:
+        with open(config.publications, newline="", encoding="utf-8-sig") as fh:
             records = parse_publications(fh, year_range=config.year_range)
     except OSError as exc:
         raise InputDataError(f"cannot read publications: {exc}") from exc
     try:
-        with open(config.membership, newline="", encoding="utf-8") as fh:
+        with open(config.membership, newline="", encoding="utf-8-sig") as fh:
             pairs = parse_membership(fh)
     except OSError as exc:
         raise InputDataError(f"cannot read membership: {exc}") from exc
@@ -356,8 +355,6 @@ def run_report(config: ReportConfig) -> dict:
 
     filter_config = FilterConfig(
         min_stratum_papers=config.min_stratum_papers,
-        require_nonzero_world_cells=True,
-        year_range=config.year_range,
         restrict_to_group_strata=config.restrict_to_group_strata,
         zero_handling=config.zero_handling,
     )
@@ -397,7 +394,6 @@ def run_report(config: ReportConfig) -> dict:
         },
         "comparisons": comparisons,
         "audit": {
-            "backend": BACKEND,
             "config": {
                 "publications": str(config.publications),
                 "membership": str(config.membership),

@@ -26,19 +26,21 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._kernels import mh_batch
 from .errors import DegenerateComputationError, InputDataError
 from .indicators import (
-    Z95,
+    Estimate,
     IndicatorKind,
     emnpc,
+    emnpc_arrays,
+    mh_quotient_arrays,
     mhq,
     mhq_prime,
     mnpc,
+    mnpc_arrays,
 )
 from .profiles import (
     WORLD_LABEL,
@@ -412,82 +414,56 @@ def _replication_draws(
     return group_draws, world_draws
 
 
-def _mask_bounds(value, half_width, degenerate):
-    lower = np.where(degenerate, np.nan, value * np.exp(-half_width))
-    upper = np.where(degenerate, np.nan, value * np.exp(half_width))
-    return lower, upper
+def _corrected_mnpc_counts(a, m, c, n, present):
+    """Continuity-corrected mentioned and total counts of raw draws.
 
-
-def _batch_emnpc(a, m, c, n):
-    """EMNPC per replication; a, c are (reps, strata) mentioned counts."""
-    group_mask = m > 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_g = (a[:, group_mask] / m[group_mask]).mean(axis=1)
-        p_w = (c / n).mean(axis=1)
-        degenerate = (p_g == 0) | (p_w == 0)
-        n_g = m[group_mask].sum()
-        n_w = n.sum()
-        half = Z95 * np.sqrt(
-            ((1.0 - p_g) / p_g) / n_g + ((1.0 - p_w) / p_w) / n_w
-        )
-        value = np.where(degenerate, np.nan, p_g / p_w)
-        lower, upper = _mask_bounds(value, half, degenerate)
-    return value, lower, upper, degenerate
-
-
-def _batch_mnpc(a, m, c, n, present_per_stratum):
-    """Continuity-corrected MNPC per replication.
-
-    Empty mentioned cells receive the same corrections the scalar path
-    applies: a zero world cell gains 0.5 per present group (at least one)
-    with the matching total increase, and a zero group cell gains 0.5
-    mentioned and 0.5 not-mentioned.
+    a, c are (reps, strata) mentioned draws of the group and the world over
+    the group's strata, m, n their sizes, and present the number of groups
+    in each stratum. Empty mentioned cells receive the corrections that
+    `continuity_correct` applies to profiles: a zero world cell gains 0.5
+    per present group (at least one) with the matching total increase, and
+    a zero group cell gains 0.5 mentioned and 0.5 not-mentioned.
     """
-    group_mask = m > 0
-    k = np.maximum(1, present_per_stratum)
-
+    k = np.maximum(1, present)
     world_zero = c == 0
     c_corr = np.where(world_zero, 0.5 * k, c)
     n_corr = np.where(world_zero, n + k, n)
+    group_zero = a == 0
+    a_corr = np.where(group_zero, 0.5, a)
+    m_corr = np.where(group_zero, m + 1, m)
+    return a_corr, m_corr, c_corr, n_corr
 
-    a_g = a[:, group_mask]
-    m_g = m[group_mask]
-    group_zero = a_g == 0
-    a_corr = np.where(group_zero, 0.5, a_g)
-    m_corr = np.where(group_zero, m_g + 1, m_g)
 
-    p_w = c_corr[:, group_mask] / n_corr[:, group_mask]
-    p_g = a_corr / m_corr
-    n_g = m_corr.sum(axis=1, keepdims=True)
-    weights = m_corr / n_g
-    ratio = p_g / p_w
-    half = Z95 * np.sqrt(
-        ((1.0 - p_g) / p_g) / m_corr + ((1.0 - p_w) / p_w) / n_corr[:, group_mask]
+def _replication_estimates(
+    spec: WorldSpec, replications: int
+) -> Iterator[tuple[str, dict[IndicatorKind, Estimate]]]:
+    """EMNPC, MNPC and MHq of every replication, one group at a time.
+
+    Yields each group with papers and its (replications,) estimates: EMNPC
+    and MHq on the raw draws, MNPC on continuity-corrected draws, as the
+    report pipeline computes them on profiles.
+    """
+    group_draws, world_draws = _replication_draws(spec, replications)
+    n = np.array([s.world_size for s in spec.strata], dtype=np.float64)
+    present = np.array(
+        [sum(1 for g in spec.groups if g.sizes[i] > 0) for i in range(len(spec.strata))],
+        dtype=np.int64,
     )
-    lower_f = ratio * np.exp(-half)
-    upper_f = ratio * np.exp(half)
-    value = (weights * ratio).sum(axis=1)
-    lower = value - (weights * (ratio - lower_f)).sum(axis=1)
-    upper = value + (weights * (upper_f - ratio)).sum(axis=1)
-    degenerate = np.zeros(value.shape, dtype=bool)
-    return value, lower, upper, degenerate
-
-
-def _batch_mhq(a, m, c, n):
-    """Mantel-Haenszel quotient per replication on raw draws."""
-    group_mask = m > 0
-    a_g = a[:, group_mask]
-    b_g = m[group_mask] - a_g
-    c_g = c[:, group_mask]
-    d_g = n[group_mask] - c_g
-    r, s, pr, cross, qs, _ = mh_batch(a_g, b_g, c_g, d_g)
-    degenerate = (r == 0) | (s == 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.where(degenerate, np.nan, r / s)
-        variance = 0.5 * (pr / r**2 + cross / (r * s) + qs / s**2)
-        half = Z95 * np.sqrt(variance)
-        lower, upper = _mask_bounds(value, half, degenerate)
-    return value, lower, upper, degenerate
+    for g, group in enumerate(spec.groups):
+        m = np.array(group.sizes, dtype=np.float64)
+        in_group = m > 0
+        if not in_group.any():
+            continue
+        m = m[in_group]
+        a = group_draws[g][:, in_group]
+        c = world_draws[:, in_group]
+        yield group.label, {
+            IndicatorKind.EMNPC: emnpc_arrays(a, m, world_draws, n),
+            IndicatorKind.MNPC: mnpc_arrays(
+                *_corrected_mnpc_counts(a, m, c, n[in_group], present[in_group])
+            ),
+            IndicatorKind.MHQ: mh_quotient_arrays(a, m - a, c, n[in_group] - c),
+        }
 
 
 def coverage_experiment(
@@ -518,27 +494,11 @@ def coverage_experiment(
         raise InputDataError("coverage requires at least one group")
 
     truths = true_indicator_values(spec, _VALIDITY_KINDS)
-    group_draws, world_draws = _replication_draws(spec, replications)
-    n = np.array([s.world_size for s in spec.strata], dtype=np.float64)
-    present = np.array(
-        [sum(1 for g in spec.groups if g.sizes[i] > 0) for i in range(len(spec.strata))],
-        dtype=np.int64,
-    )
-
     out_groups: dict[str, dict] = {}
-    for g, group in enumerate(spec.groups):
-        m = np.array(group.sizes, dtype=np.float64)
-        if not m.any():
-            continue
-        a = group_draws[g]
+    for label, estimates in _replication_estimates(spec, replications):
         cells = {}
-        batches = {
-            IndicatorKind.EMNPC: _batch_emnpc(a, m, world_draws, n),
-            IndicatorKind.MNPC: _batch_mnpc(a, m, world_draws, n, present),
-            IndicatorKind.MHQ: _batch_mhq(a, m, world_draws, n),
-        }
-        for kind, (value, lower, upper, degenerate) in batches.items():
-            truth = truths[group.label][str(kind)]
+        for kind, (_, lower, upper, degenerate, _) in estimates.items():
+            truth = truths[label][str(kind)]
             usable = ~degenerate
             covered = int(
                 ((lower[usable] <= truth) & (truth <= upper[usable])).sum()
@@ -551,7 +511,7 @@ def coverage_experiment(
                 "used": used,
                 "degenerate": int(degenerate.sum()),
             }
-        out_groups[group.label] = cells
+        out_groups[label] = cells
 
     return {
         "nominal": nominal,

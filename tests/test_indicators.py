@@ -21,11 +21,6 @@ from zinorm import (
     pooled_proportion,
 )
 
-statsmodels_ct = pytest.importorskip(
-    "statsmodels.stats.contingency_tables", reason="cross-check oracle"
-)
-
-
 def k(field, year=2010):
     return StratumKey(field, year)
 
@@ -195,6 +190,9 @@ class TestMhq:
             mhq(group, world)
 
     def test_statsmodels_cross_check(self, worked_example):
+        statsmodels_ct = pytest.importorskip(
+            "statsmodels.stats.contingency_tables", reason="cross-check oracle"
+        )
         world, set_a, set_b = worked_example
         for group in (set_a, set_b):
             tables = []

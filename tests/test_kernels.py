@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -18,7 +14,7 @@ def _random_cells(rng, shape):
 
 def test_accumulate_matches_hand_computation():
     # one stratum (3,1,4,4): n=12, r=12/12=1, s=4/12, P=7/12
-    r, s, pr, cross, qs, contributing = _kernels.mh_accumulate_numpy(
+    r, s, pr, cross, qs, contributing = _kernels.mh_accumulate(
         np.array([3.0]), np.array([1.0]), np.array([4.0]), np.array([4.0])
     )
     assert r == pytest.approx(1.0)
@@ -36,38 +32,16 @@ def test_contributing_counts_nonzero_terms():
     d = np.array([5.0, 4.0, 6.0])
     # stratum 0: r = 0*5/5 = 0, s = 0*0/5 = 0 -> not contributing
     # stratum 2: r = 0, s = 3*0/9 = 0 -> not contributing
-    *_, contributing = _kernels.mh_accumulate_numpy(a, b, c, d)
+    *_, contributing = _kernels.mh_accumulate(a, b, c, d)
     assert contributing == 1
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-def test_accumulate_backends_agree():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        cells = _random_cells(rng, rng.integers(1, 40))
-        out_np = _kernels.mh_accumulate_numpy(*cells)
-        out_nb = _kernels.mh_accumulate_numba(*cells)
-        assert out_np[:5] == pytest.approx(out_nb[:5], rel=1e-12)
-        assert out_np[5] == out_nb[5]
-
-
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-def test_batch_backends_agree():
-    rng = np.random.default_rng(43)
-    cells = _random_cells(rng, (50, 12))
-    out_np = _kernels.mh_batch_numpy(*cells)
-    out_nb = _kernels.mh_batch_numba(*cells)
-    for x, y in zip(out_np[:5], out_nb[:5]):
-        np.testing.assert_allclose(x, y, rtol=1e-12)
-    np.testing.assert_array_equal(out_np[5], out_nb[5])
 
 
 def test_batch_rows_match_single_accumulation():
     rng = np.random.default_rng(44)
     cells = _random_cells(rng, (10, 7))
-    batch = _kernels.mh_batch_numpy(*cells)
+    batch = _kernels.mh_batch(*cells)
     for i in range(10):
-        row = _kernels.mh_accumulate_numpy(*(x[i] for x in cells))
+        row = _kernels.mh_accumulate(*(x[i] for x in cells))
         for j in range(5):
             assert batch[j][i] == pytest.approx(row[j], rel=1e-12)
         assert batch[5][i] == row[5]
@@ -76,36 +50,3 @@ def test_batch_rows_match_single_accumulation():
 def test_public_wrappers_accept_lists():
     out = _kernels.mh_accumulate([3], [1], [4], [4])
     assert out[0] == pytest.approx(1.0)
-
-
-def _backend_in_subprocess(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("ZINORM_BACKEND", None)
-    else:
-        env["ZINORM_BACKEND"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "from zinorm import _kernels; print(_kernels.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_backend_env_selection():
-    result = _backend_in_subprocess("numpy")
-    assert result.returncode == 0
-    assert result.stdout.strip() == "numpy"
-
-
-def test_backend_env_invalid_value_fails_loud():
-    result = _backend_in_subprocess("fortran")
-    assert result.returncode != 0
-    assert "ZINORM_BACKEND" in result.stderr
-
-
-def test_default_backend_is_numba_when_available():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    result = _backend_in_subprocess(None)
-    assert result.stdout.strip() == "numba"

@@ -194,8 +194,6 @@ class TestApplyFilters:
             FilterConfig(min_stratum_papers=-1)
         with pytest.raises(InputDataError):
             FilterConfig(zero_handling="explode")
-        with pytest.raises(InputDataError):
-            FilterConfig(year_range=(2100, 1900))
 
 
 class TestContinuityCorrect:

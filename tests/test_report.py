@@ -342,6 +342,26 @@ class TestCli:
         assert result.stdout == ""
         assert json.loads(out.read_text())["groups"]["world"]
 
+    def test_utf8_bom_inputs_accepted(self, tmp_path):
+        # Spreadsheet exports often start UTF-8 files with a byte-order mark.
+        bom = b"\xef\xbb\xbf"
+        pubs = tmp_path / "publications.csv"
+        members = tmp_path / "membership.csv"
+        pubs.write_bytes(bom + PUBLICATIONS_CSV.read_bytes())
+        members.write_bytes(bom + MEMBERSHIP_CSV.read_bytes())
+        args = ("--indicators", "mhq", "--format", "json")
+        result = run_cli(
+            "compute", "--publications", str(pubs), "--membership", str(members), *args
+        )
+        plain = run_cli(
+            "compute",
+            "--publications", str(PUBLICATIONS_CSV),
+            "--membership", str(MEMBERSHIP_CSV),
+            *args,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["groups"] == json.loads(plain.stdout)["groups"]
+
     def test_unknown_indicator_exits_2(self):
         result = run_cli(
             "compute",

@@ -22,7 +22,18 @@ from zinorm import (
     true_indicator_values,
     write_synthetic,
 )
-from zinorm.profiles import build_profiles
+from zinorm.errors import DegenerateComputationError
+from zinorm.indicators import emnpc, mhq, mnpc
+from zinorm.profiles import (
+    WORLD_LABEL,
+    CellCounts,
+    CountProfile,
+    build_profiles,
+    continuity_correct,
+)
+from zinorm.synth import _replication_draws, _replication_estimates
+
+from conftest import COVERAGE_SPEC
 
 
 def make_spec(seed=7, theta=2.0, p=0.2, world=50, group=10, n_strata=3):
@@ -340,6 +351,99 @@ class TestCoverageExperiment:
         mhq = out["groups"]["g"]["mhq"]
         assert mhq["degenerate"] == 0
         assert 0.90 <= mhq["coverage"] <= 0.99
+
+
+def _replication_profiles(spec, group_draws, world_draws, i):
+    """Replication i's world and group profiles, as build_profiles would give."""
+    keys = [s.key for s in spec.strata]
+    world = CountProfile(
+        WORLD_LABEL,
+        {
+            key: CellCounts(c, s.world_size - c)
+            for key, s, c in zip(keys, spec.strata, world_draws[i])
+        },
+    )
+    groups = {
+        group.label: CountProfile(
+            group.label,
+            {
+                key: CellCounts(a, size - a)
+                for key, size, a in zip(keys, group.sizes, group_draws[g, i])
+                if size > 0
+            },
+        )
+        for g, group in enumerate(spec.groups)
+    }
+    return world, groups
+
+
+def _scalar_or_none(func, group, world):
+    try:
+        return func(group, world)
+    except DegenerateComputationError:
+        return None
+
+
+@pytest.mark.parametrize(
+    "spec, any_degenerate",
+    [
+        (WorldSpec.from_json(COVERAGE_SPEC), False),
+        # Small, sparsely mentioned strata: degenerate replications, world
+        # cells corrected for one or two present groups, and a group absent
+        # from one stratum.
+        (
+            WorldSpec(
+                seed=5150,
+                strata=tuple(
+                    StratumSpec(StratumKey(f"f{i}", 2000 + i), 20, 0.05)
+                    for i in range(3)
+                ),
+                groups=(
+                    GroupSpec("g", (3, 3, 3), 2.0),
+                    GroupSpec("h", (0, 4, 2), 0.5),
+                ),
+            ),
+            True,
+        ),
+    ],
+    ids=["coverage_spec", "sparse_strata"],
+)
+def test_coverage_rows_match_scalar_indicators(spec, any_degenerate):
+    # Each replication's coverage estimate equals the report function on
+    # that replication's profiles: EMNPC and MHq raw, MNPC corrected.
+    reps = 150
+    group_draws, world_draws = _replication_draws(spec, reps)
+    estimates = dict(_replication_estimates(spec, reps))
+    assert set(estimates) == {g.label for g in spec.groups}
+    degenerate_seen = 0
+    for i in range(reps):
+        world, groups = _replication_profiles(spec, group_draws, world_draws, i)
+        corrected = continuity_correct(world, groups)
+        for label, group in groups.items():
+            expected = {
+                IndicatorKind.EMNPC: _scalar_or_none(emnpc, group, world),
+                IndicatorKind.MHQ: _scalar_or_none(mhq, group, world),
+                IndicatorKind.MNPC: _scalar_or_none(
+                    mnpc, corrected.groups[label], corrected.world
+                ),
+            }
+            for kind, result in expected.items():
+                estimate = estimates[label][kind]
+                where = (i, label, kind)
+                assert bool(estimate.degenerate[i]) == (result is None), where
+                if result is None:
+                    degenerate_seen += 1
+                    continue
+                got = (estimate.value[i], estimate.lower[i], estimate.upper[i])
+                want = (result.value, result.ci_lower, result.ci_upper)
+                assert got == pytest.approx(want, rel=1e-12, abs=0), where
+    assert (degenerate_seen > 0) == any_degenerate
+
+    out = coverage_experiment(spec, reps)
+    for label, by_kind in estimates.items():
+        for kind, estimate in by_kind.items():
+            row = out["groups"][label][str(kind)]
+            assert row["degenerate"] == int(estimate.degenerate.sum())
 
 
 class TestConvergentValidity:

@@ -16,7 +16,6 @@ cells.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -25,7 +24,7 @@ import numpy as np
 
 from ._kernels import mh_accumulate, mh_batch
 from .errors import DegenerateComputationError, InputDataError
-from .profiles import CellCounts, CountProfile, StratumKey
+from .profiles import CountProfile, StratumKey, world_rows
 
 #: Normal quantile used by every interval here; fixed rather than configurable.
 Z95 = 1.96
@@ -102,20 +101,9 @@ def pooled_proportion(profile: CountProfile) -> float:
     return profile.total_mentioned / total
 
 
-def _counts(cells: Iterable[CellCounts]) -> np.ndarray:
-    """Mentioned and not-mentioned counts as the rows of a (2, strata) array."""
-    flat = np.fromiter(
-        chain.from_iterable((cell.mentioned, cell.not_mentioned) for cell in cells),
-        dtype=np.float64,
-    )
-    return flat.reshape(-1, 2).T
-
-
-def _mentioned_and_total(
-    cells: Iterable[CellCounts],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mentioned and total counts per stratum; every stratum must have papers."""
-    mentioned, not_mentioned = _counts(cells)
+def _mentioned_and_total(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mentioned and total counts of ``(strata, 2)`` cells; none may be empty."""
+    mentioned, not_mentioned = counts.T
     total = mentioned + not_mentioned
     if not total.all():
         raise DegenerateComputationError("stratum has no papers")
@@ -136,8 +124,7 @@ def equalized_proportion(profile: CountProfile) -> float:
         raise DegenerateComputationError(
             f"profile {profile.label!r} has no strata"
         )
-    cells = (cell for _, cell in profile.items())
-    return float(_equalized(*_mentioned_and_total(cells)))
+    return float(_equalized(*_mentioned_and_total(profile.counts)))
 
 
 class Estimate(NamedTuple):
@@ -260,17 +247,14 @@ def _result(
     )
 
 
-def _require_subset(group: CountProfile, world: CountProfile) -> None:
-    missing = [k for k in group.strata() if k not in world]
-    if missing:
-        raise InputDataError(
-            f"group {group.label!r} has strata absent from the world profile: "
-            + ", ".join(str(k) for k in missing)
-        )
+def _group_rows(group: CountProfile, world: CountProfile) -> np.ndarray:
+    """Rows of the group's strata in the world; the group must have some."""
+    rows = world_rows(world, group)
     if len(group) == 0:
         raise DegenerateComputationError(
             f"group {group.label!r} has no strata"
         )
+    return rows
 
 
 def _cell_arrays(
@@ -278,8 +262,8 @@ def _cell_arrays(
 ) -> tuple[tuple[StratumKey, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Group and world cells over the group's strata, dominance-checked."""
     keys = group.strata()
-    a, b = _counts(cell for _, cell in group.items())
-    c, d = _counts(world[key] for key in keys)
+    a, b = group.counts.T
+    c, d = world.counts[_group_rows(group, world)].T
     exceeds = (a > c) | (b > d)
     if exceeds.any():
         raise InputDataError(
@@ -312,14 +296,12 @@ def emnpc(
         raise InputDataError(
             f"world_strata must be 'all' or 'group', got {world_strata!r}"
         )
-    _require_subset(group, world)
+    rows = _group_rows(group, world)
 
-    group_counts = _mentioned_and_total(cell for _, cell in group.items())
-    if world_strata == "all":
-        world_cells = (cell for _, cell in world.items())
-    else:
-        world_cells = (world[key] for key in group.strata())
-    world_counts = _mentioned_and_total(world_cells)
+    group_counts = _mentioned_and_total(group.counts)
+    world_counts = _mentioned_and_total(
+        world.counts if world_strata == "all" else world.counts[rows]
+    )
     estimate = emnpc_arrays(*group_counts, *world_counts)
     if estimate.degenerate:
         p_g = _equalized(*group_counts)
@@ -356,7 +338,6 @@ def mnpc(group: CountProfile, world: CountProfile) -> IndicatorResult:
         If any stratum has a zero group or world mentioned cell; apply a
         continuity correction (or drop such strata) first.
     """
-    _require_subset(group, world)
     keys, a, b, c, d = _cell_arrays(group, world)
     n_gf = a + b
     n_wf = c + d
@@ -422,7 +403,6 @@ def mhq(group: CountProfile, world: CountProfile) -> IndicatorResult:
     DegenerateComputationError
         If the pooled numerator or denominator is zero.
     """
-    _require_subset(group, world)
     _, a, b, c, d = _cell_arrays(group, world)
     return _mh_result(IndicatorKind.MHQ, group.label, a, b, c, d, [])
 
@@ -441,7 +421,6 @@ def mhq_prime(group: CountProfile, world: CountProfile) -> IndicatorResult:
         If the group covers the whole world in every stratum, or the
         pooled numerator or denominator is zero.
     """
-    _require_subset(group, world)
     keys, a, b, c, d = _cell_arrays(group, world)
     c_prime = c - a
     d_prime = d - b

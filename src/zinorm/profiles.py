@@ -1,20 +1,25 @@
 """Stratified count profiles and the filtering/correction steps applied to them.
 
-A profile maps (field, year) strata to mentioned / not-mentioned paper counts
-for one population: the whole world of publications or a named group. The
-world profile always contains the groups, so every downstream computation can
-rely on group cells being dominated by the matching world cells.
+A profile holds one population's sorted (field, year) strata and a read-only
+array of their mentioned / not-mentioned paper counts; the population is the
+whole world of publications or a named group. The world profile always
+contains the groups, so every downstream computation can rely on group cells
+being dominated by the matching world cells.
 
-Profiles are treated as immutable once built: every transformation here
-returns new objects and never mutates its inputs, so profiles can be shared
-freely across threads.
+Profiles are immutable once built: every transformation here returns new
+profiles and never mutates its inputs, so profiles can be shared freely
+across threads.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DegenerateComputationError, InputDataError
 
@@ -26,20 +31,20 @@ DEFAULT_YEAR_RANGE = (1900, 2100)
 WORLD_LABEL = "world"
 
 
-@dataclass(frozen=True, order=True)
-class StratumKey:
+class StratumKey(NamedTuple("_Stratum", [("field_id", str), ("year", int)])):
     """A (field, publication year) stratum identifier.
 
     Ordering is lexicographic on (field_id, year) so that sorted iteration
-    over strata is deterministic everywhere.
+    over strata is deterministic everywhere. Keys are tuples, so hashing,
+    equality and ordering run in C.
     """
 
-    field_id: str
-    year: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.field_id:
+    def __new__(cls, field_id: str, year: int) -> "StratumKey":
+        if not field_id:
             raise InputDataError("stratum field_id must be non-empty")
+        return super().__new__(cls, field_id, year)
 
     def __str__(self) -> str:
         return f"{self.field_id}/{self.year}"
@@ -93,66 +98,92 @@ class PublicationRecord:
 
 
 class CountProfile:
-    """An immutable label + {stratum: cells} mapping.
+    """An immutable label, sorted strata and their ``(strata, 2)`` counts.
 
-    Iteration helpers always yield strata in sorted key order, so any output
-    derived from a profile is deterministic regardless of construction order.
+    Row i of the read-only float64 array ``counts`` holds the mentioned and
+    not-mentioned papers of ``strata()[i]``. Sorted strata make any output
+    derived from a profile deterministic regardless of construction order.
     """
-
-    __slots__ = ("label", "_cells")
 
     def __init__(self, label: str, cells: Mapping[StratumKey, CellCounts]):
         if not label:
             raise InputDataError("profile label must be non-empty")
-        self.label = label
-        self._cells = dict(sorted(cells.items()))
+        items = sorted(cells.items())
+        self.label, self._keys = label, tuple(key for key, _ in items)
+        self.counts = np.array(
+            [(c.mentioned, c.not_mentioned) for _, c in items], dtype=np.float64
+        ).reshape(-1, 2)
+        self.counts.flags.writeable = False
+
+    def _with(self, keys: tuple, counts: np.ndarray) -> "CountProfile":
+        """A profile with this label over sorted `keys` and their `counts`."""
+        profile = object.__new__(CountProfile)
+        profile.label, profile._keys, profile.counts = self.label, keys, counts
+        counts.flags.writeable = False
+        return profile
+
+    @cached_property
+    def _rows(self) -> dict[StratumKey, int]:
+        return dict(zip(self._keys, range(len(self._keys))))
+
+    def _take(self, mask: np.ndarray) -> "CountProfile":
+        """The strata where the boolean `mask` is true, as a new profile."""
+        return self._with(tuple(compress(self._keys, mask.tolist())), self.counts[mask])
 
     @property
     def cells(self) -> dict[StratumKey, CellCounts]:
-        return dict(self._cells)
+        return dict(self.items())
 
     def __contains__(self, key: StratumKey) -> bool:
-        return key in self._cells
+        return key in self._rows
 
     def __len__(self) -> int:
-        return len(self._cells)
+        return len(self._keys)
 
     def __getitem__(self, key: StratumKey) -> CellCounts:
-        return self._cells[key]
+        return CellCounts(*self.counts[self._rows[key]].tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountProfile):
             return NotImplemented
-        return self.label == other.label and self._cells == other._cells
+        return (
+            (self.label, self._keys) == (other.label, other._keys)
+            and np.array_equal(self.counts, other.counts)
+        )
 
     def __repr__(self) -> str:
-        return f"CountProfile({self.label!r}, {len(self._cells)} strata)"
+        return f"CountProfile({self.label!r}, {len(self)} strata)"
 
     def strata(self) -> tuple[StratumKey, ...]:
-        return tuple(self._cells)
+        return self._keys
 
     def items(self) -> Iterator[tuple[StratumKey, CellCounts]]:
-        return iter(self._cells.items())
+        return zip(self._keys, (CellCounts(*cell) for cell in self.counts.tolist()))
 
     @property
     def total_papers(self) -> float:
-        return sum(c.total for c in self._cells.values())
+        return float(self.counts.sum())
 
     @property
     def total_mentioned(self) -> float:
-        return sum(c.mentioned for c in self._cells.values())
+        return float(self.counts[:, 0].sum())
 
     def restrict(self, keep: Iterable[StratumKey]) -> "CountProfile":
         """Return a copy containing only the strata in `keep`."""
         keep_set = set(keep)
-        return CountProfile(
-            self.label, {k: v for k, v in self._cells.items() if k in keep_set}
-        )
+        return self._take(np.array([key in keep_set for key in self._keys], dtype=bool))
 
-    def with_cells(self, overrides: Mapping[StratumKey, CellCounts]) -> "CountProfile":
-        merged = dict(self._cells)
-        merged.update(overrides)
-        return CountProfile(self.label, merged)
+
+def world_rows(world: CountProfile, group: CountProfile) -> np.ndarray:
+    """Row in `world` of each of `group`'s strata; all must be in the world."""
+    index = world._rows
+    try:
+        return np.fromiter(map(index.__getitem__, group.strata()), np.intp, len(group))
+    except KeyError:
+        raise InputDataError(
+            f"group {group.label!r} has strata absent from the world profile: "
+            + ", ".join(str(key) for key in group.strata() if key not in index)
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -177,10 +208,6 @@ class FilterResult:
     world: CountProfile
     groups: dict[str, CountProfile]
     removed: tuple[tuple[StratumKey, str], ...]
-
-    @property
-    def removed_strata(self) -> tuple[StratumKey, ...]:
-        return tuple(k for k, _ in self.removed)
 
 
 @dataclass(frozen=True)
@@ -299,17 +326,26 @@ def apply_filters(
     Filters run in a fixed order: restriction to a reference group's strata,
     then the minimum world stratum size, then (only under the ``drop`` policy)
     removal of strata whose world row has an empty mentioned or not-mentioned
-    cell. Each removal is recorded as (stratum, reason).
+    cell. Each removal is recorded as (stratum, reason), by filter and then
+    in stratum order.
 
     Raises
     ------
     InputDataError
-        If `config.restrict_to_group_strata` names an unknown group.
+        If a group has strata absent from the world, or
+        `config.restrict_to_group_strata` names an unknown group.
     DegenerateComputationError
         If no strata remain after filtering.
     """
+    rows = {label: world_rows(world, profile) for label, profile in groups.items()}
+    keys = world.strata()
+    mentioned, not_mentioned = world.counts.T
+    keep = np.ones(len(world), dtype=bool)
     removed: list[tuple[StratumKey, str]] = []
-    keep = list(world.strata())
+
+    def drop(mask: np.ndarray, reason) -> None:
+        removed.extend((keys[i], reason(i)) for i in np.flatnonzero(mask).tolist())
+        keep[mask] = False
 
     if config.restrict_to_group_strata is not None:
         ref = groups.get(config.restrict_to_group_strata)
@@ -317,52 +353,50 @@ def apply_filters(
             raise InputDataError(
                 f"unknown reference group {config.restrict_to_group_strata!r}"
             )
-        ref_strata = set(ref.strata())
-        still = []
-        for key in keep:
-            if key in ref_strata:
-                still.append(key)
-            else:
-                removed.append(
-                    (key, f"outside the strata of group {ref.label!r}")
-                )
-        keep = still
+        outside = np.ones(len(world), dtype=bool)
+        outside[rows[config.restrict_to_group_strata]] = False
+        drop(outside, lambda i: f"outside the strata of group {ref.label!r}")
 
-    still = []
-    for key in keep:
-        total = world[key].total
-        if total < config.min_stratum_papers:
-            removed.append(
-                (
-                    key,
-                    f"world stratum has {total:g} papers, fewer than "
-                    f"{config.min_stratum_papers}",
-                )
-            )
-        else:
-            still.append(key)
-    keep = still
+    total = mentioned + not_mentioned
+    drop(
+        keep & (total < config.min_stratum_papers),
+        lambda i: f"world stratum has {total[i]:g} papers, fewer than "
+        f"{config.min_stratum_papers}",
+    )
 
     if config.zero_handling == "drop":
-        still = []
-        for key in keep:
-            cell = world[key]
-            if cell.mentioned == 0:
-                removed.append((key, "world stratum has no mentioned papers"))
-            elif cell.not_mentioned == 0:
-                removed.append((key, "world stratum has no unmentioned papers"))
-            else:
-                still.append(key)
-        keep = still
+        drop(
+            keep & ((mentioned == 0) | (not_mentioned == 0)),
+            lambda i: "world stratum has no mentioned papers"
+            if mentioned[i] == 0
+            else "world stratum has no unmentioned papers",
+        )
 
-    if not keep:
+    if not keep.any():
         raise DegenerateComputationError("no strata remain after filtering")
 
-    filtered_world = world.restrict(keep)
     filtered_groups = {
-        label: profile.restrict(keep) for label, profile in groups.items()
+        label: profile._take(keep[rows[label]]) for label, profile in groups.items()
     }
-    return FilterResult(filtered_world, filtered_groups, tuple(removed))
+    return FilterResult(world._take(keep), filtered_groups, tuple(removed))
+
+
+def world_correction(mentioned: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Papers that `continuity_correct` adds to each cell of world strata.
+
+    `present` counts the groups with papers in each stratum.
+    """
+    return np.where(mentioned == 0, 0.5 * np.maximum(present, 1), 0.0)
+
+
+def group_correction(
+    mentioned: np.ndarray, total: np.ndarray, world_mentioned: np.ndarray
+) -> np.ndarray:
+    """Where `continuity_correct` adds 0.5 papers to each cell of a group.
+
+    The world's mentioned counts are those of the group's strata.
+    """
+    return (total > 0) & ((mentioned == 0) | (world_mentioned == 0))
 
 
 def continuity_correct(
@@ -381,44 +415,39 @@ def continuity_correct(
       not. Only that group's cell is corrected.
 
     Already-positive cells are never touched, so applying the correction
-    twice changes nothing. Each adjusted cell is reported in `notes`.
+    twice changes nothing. Each adjusted cell is reported in `notes`, in
+    stratum order; within a stratum the world comes first, then the groups
+    by label.
+
+    Raises
+    ------
+    InputDataError
+        If a group has strata absent from the world.
     """
-    notes: list[str] = []
-    world_over: dict[StratumKey, CellCounts] = {}
-    group_over: dict[str, dict[StratumKey, CellCounts]] = {g: {} for g in groups}
-
-    for key, wcell in world.items():
-        present = sorted(
-            label
-            for label, profile in groups.items()
-            if key in profile and profile[key].total > 0
+    keys = world.strata()
+    world_mentioned = world.counts[:, 0]
+    present = np.zeros(len(world), dtype=np.int64)
+    notes: list[tuple[int, str, str]] = []
+    corrected_groups = {}
+    for label, profile in groups.items():
+        rows = world_rows(world, profile)
+        mentioned, not_mentioned = profile.counts.T
+        total = mentioned + not_mentioned
+        present[rows] += total > 0
+        fixed = group_correction(mentioned, total, world_mentioned[rows])
+        note = f"group {label!r} mentioned cell corrected by 0.5"
+        notes.extend((row, label, note) for row in rows[fixed].tolist())
+        corrected_groups[label] = profile._with(
+            profile.strata(), profile.counts + 0.5 * fixed[:, None]
         )
-        if wcell.mentioned == 0:
-            increments = max(1, len(present))
-            world_over[key] = wcell.add(0.5 * increments, 0.5 * increments)
-            notes.append(
-                f"stratum {key}: world mentioned cell corrected by "
-                f"{0.5 * increments:g}"
-            )
-            for label in present:
-                cell = groups[label][key]
-                group_over[label][key] = cell.add(0.5, 0.5)
-                notes.append(
-                    f"stratum {key}: group {label!r} mentioned cell corrected by 0.5"
-                )
-        else:
-            for label in present:
-                cell = groups[label][key]
-                if cell.mentioned == 0:
-                    group_over[label][key] = cell.add(0.5, 0.5)
-                    notes.append(
-                        f"stratum {key}: group {label!r} mentioned cell "
-                        "corrected by 0.5"
-                    )
 
-    corrected_world = world.with_cells(world_over)
-    corrected_groups = {
-        label: profile.with_cells(group_over[label])
-        for label, profile in groups.items()
-    }
-    return CorrectionResult(corrected_world, corrected_groups, tuple(notes))
+    added = world_correction(world_mentioned, present)
+    notes.extend(
+        (row, "", f"world mentioned cell corrected by {added[row]:g}")
+        for row in np.flatnonzero(added).tolist()
+    )
+    return CorrectionResult(
+        world._with(keys, world.counts + added[:, None]),
+        corrected_groups,
+        tuple(f"stratum {keys[row]}: {note}" for row, _, note in sorted(notes)),
+    )

@@ -34,6 +34,7 @@ from .errors import DegenerateComputationError, InputDataError
 from .indicators import (
     Estimate,
     IndicatorKind,
+    _estimate,
     emnpc,
     emnpc_arrays,
     mh_quotient_arrays,
@@ -51,6 +52,8 @@ from .profiles import (
     StratumKey,
     apply_filters,
     build_profiles,
+    group_correction,
+    world_correction,
 )
 from .report import build_comparisons, compute_rows, result_payload
 
@@ -414,41 +417,19 @@ def _replication_draws(
     return group_draws, world_draws
 
 
-def _corrected_mnpc_counts(a, m, c, n, present):
-    """Continuity-corrected mentioned and total counts of raw draws.
-
-    a, c are (reps, strata) mentioned draws of the group and the world over
-    the group's strata, m, n their sizes, and present the number of groups
-    in each stratum. Empty mentioned cells receive the corrections that
-    `continuity_correct` applies to profiles: a zero world cell gains 0.5
-    per present group (at least one) with the matching total increase, and
-    a zero group cell gains 0.5 mentioned and 0.5 not-mentioned.
-    """
-    k = np.maximum(1, present)
-    world_zero = c == 0
-    c_corr = np.where(world_zero, 0.5 * k, c)
-    n_corr = np.where(world_zero, n + k, n)
-    group_zero = a == 0
-    a_corr = np.where(group_zero, 0.5, a)
-    m_corr = np.where(group_zero, m + 1, m)
-    return a_corr, m_corr, c_corr, n_corr
-
-
 def _replication_estimates(
     spec: WorldSpec, replications: int
 ) -> Iterator[tuple[str, dict[IndicatorKind, Estimate]]]:
     """EMNPC, MNPC and MHq of every replication, one group at a time.
 
     Yields each group with papers and its (replications,) estimates: EMNPC
-    and MHq on the raw draws, MNPC on continuity-corrected draws, as the
-    report pipeline computes them on profiles.
+    and MHq on the raw draws, MNPC on draws corrected by the rule that
+    `continuity_correct` applies to profiles, as the report pipeline
+    computes them.
     """
     group_draws, world_draws = _replication_draws(spec, replications)
     n = np.array([s.world_size for s in spec.strata], dtype=np.float64)
-    present = np.array(
-        [sum(1 for g in spec.groups if g.sizes[i] > 0) for i in range(len(spec.strata))],
-        dtype=np.int64,
-    )
+    present = (np.array([g.sizes for g in spec.groups]) > 0).sum(axis=0)
     for g, group in enumerate(spec.groups):
         m = np.array(group.sizes, dtype=np.float64)
         in_group = m > 0
@@ -457,11 +438,20 @@ def _replication_estimates(
         m = m[in_group]
         a = group_draws[g][:, in_group]
         c = world_draws[:, in_group]
+        fixed = group_correction(a, m, c)
+        added = world_correction(c, present[in_group])
+        a_c, m_c = a + 0.5 * fixed, m + fixed
+        c_c, n_c = c + added, n[in_group] + 2 * added
+        # mnpc_arrays sets the peak memory: keep only its inputs alive, only for it.
+        del fixed, added
+        mnpc = mnpc_arrays(a_c, m_c, c_c, n_c)
+        # The report's mnpc refuses a corrected group cell above its world cell.
+        refused = ((a_c > c_c) | (m_c - a_c > n_c - c_c)).any(axis=-1)
+        del a_c, m_c, c_c, n_c
+        mnpc = _estimate(*mnpc[:3], mnpc.degenerate | refused, mnpc.strata_used)
         yield group.label, {
             IndicatorKind.EMNPC: emnpc_arrays(a, m, world_draws, n),
-            IndicatorKind.MNPC: mnpc_arrays(
-                *_corrected_mnpc_counts(a, m, c, n[in_group], present[in_group])
-            ),
+            IndicatorKind.MNPC: mnpc,
             IndicatorKind.MHQ: mh_quotient_arrays(a, m - a, c, n[in_group] - c),
         }
 
@@ -474,10 +464,11 @@ def coverage_experiment(
     Each replication redraws every group and the background from the spec's
     probabilities; a replication's CI covers when it contains the analytic
     truth. Replications where an indicator is degenerate (a zero pooled
-    numerator or denominator, or a zero equalized proportion) are excluded
-    from that indicator's coverage and reported in the ``degenerate``
-    count. MNPC runs on continuity-corrected draws, EMNPC and MHq on raw
-    draws, matching the reporting pipeline.
+    numerator or denominator, a zero equalized proportion, or for MNPC a
+    corrected group cell above its world cell, which the report's `mnpc`
+    refuses) are excluded from that indicator's coverage and reported in
+    the ``degenerate`` count. MNPC runs on continuity-corrected draws,
+    EMNPC and MHq on raw draws, matching the reporting pipeline.
 
     Only the 0.95 nominal level is supported; the interval constructions
     fix the matching normal quantile.

@@ -265,6 +265,95 @@ class TestContinuityCorrect:
         assert result.world[k("f")].mentioned >= total_mentioned
 
 
+def _interleaved_profiles():
+    """Ten strata whose filter reasons and corrections interleave by key."""
+    world = CountProfile(
+        "world",
+        {
+            k("a"): CellCounts(5, 15),
+            k("b"): CellCounts(3, 2),  # outside 'ref' (and small)
+            k("c"): CellCounts(0, 20),  # no mentioned
+            k("d"): CellCounts(1, 4),  # small
+            k("e"): CellCounts(12, 0),  # no unmentioned
+            k("f"): CellCounts(0, 30),  # no mentioned
+            k("g"): CellCounts(2, 3),  # small
+            k("h"): CellCounts(15, 0),  # no unmentioned
+            k("i"): CellCounts(6, 6),  # outside 'ref'
+            k("j"): CellCounts(2, 20),
+        },
+    )
+    cells = {
+        "setB": {"a": (0, 5), "c": (0, 5), "f": (0, 5), "i": (2, 2), "j": (1, 5)},
+        "setA": {"b": (1, 1), "c": (0, 3), "j": (0, 5)},
+        "ref": {
+            "a": (1, 5), "c": (0, 10), "d": (1, 1), "e": (5, 0),
+            "f": (0, 10), "g": (1, 1), "h": (5, 0), "j": (0, 10),
+        },
+    }
+    groups = {
+        label: CountProfile(label, {k(f): CellCounts(*c) for f, c in by_key.items()})
+        for label, by_key in cells.items()
+    }
+    return world, groups
+
+
+def test_filter_and_correction_order():
+    # Removals run by filter, then by key, with the two zero-cell reasons
+    # interleaved; correction notes run by key, world first, then groups
+    # by label.
+    world, groups = _interleaved_profiles()
+    dropped = apply_filters(
+        world,
+        groups,
+        FilterConfig(
+            min_stratum_papers=10, restrict_to_group_strata="ref", zero_handling="drop"
+        ),
+    )
+    assert dropped.removed == (
+        (k("b"), "outside the strata of group 'ref'"),
+        (k("i"), "outside the strata of group 'ref'"),
+        (k("d"), "world stratum has 5 papers, fewer than 10"),
+        (k("g"), "world stratum has 5 papers, fewer than 10"),
+        (k("c"), "world stratum has no mentioned papers"),
+        (k("e"), "world stratum has no unmentioned papers"),
+        (k("f"), "world stratum has no mentioned papers"),
+        (k("h"), "world stratum has no unmentioned papers"),
+    )
+    assert dropped.world.strata() == (k("a"), k("j"))
+
+    kept = apply_filters(
+        world, groups, FilterConfig(restrict_to_group_strata="ref")
+    )
+    assert kept.world.strata() == tuple(k(f) for f in "acefhj")
+    corrected = continuity_correct(kept.world, kept.groups)
+    assert corrected.notes == (
+        "stratum a/2010: group 'setB' mentioned cell corrected by 0.5",
+        "stratum c/2010: world mentioned cell corrected by 1.5",
+        "stratum c/2010: group 'ref' mentioned cell corrected by 0.5",
+        "stratum c/2010: group 'setA' mentioned cell corrected by 0.5",
+        "stratum c/2010: group 'setB' mentioned cell corrected by 0.5",
+        "stratum f/2010: world mentioned cell corrected by 1",
+        "stratum f/2010: group 'ref' mentioned cell corrected by 0.5",
+        "stratum f/2010: group 'setB' mentioned cell corrected by 0.5",
+        "stratum j/2010: group 'ref' mentioned cell corrected by 0.5",
+        "stratum j/2010: group 'setA' mentioned cell corrected by 0.5",
+    )
+    assert corrected.world[k("c")] == CellCounts(1.5, 21.5)
+    assert corrected.groups["setB"][k("j")] == CellCounts(1, 5)
+
+
+def test_group_stratum_absent_from_world_rejected():
+    world = CountProfile("world", {k("a"): CellCounts(4, 6)})
+    groups = {
+        "g": CountProfile("g", {k("a"): CellCounts(1, 1), k("x"): CellCounts(1, 0)})
+    }
+    message = "group 'g' has strata absent from the world profile: x/2010"
+    with pytest.raises(InputDataError, match=message):
+        apply_filters(world, groups, FilterConfig(min_stratum_papers=0))
+    with pytest.raises(InputDataError, match=message):
+        continuity_correct(world, groups)
+
+
 class TestCountProfile:
     def test_iteration_is_sorted(self):
         profile = CountProfile(

@@ -16,7 +16,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
+from itertools import compress, count
+from operator import attrgetter, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -79,18 +80,36 @@ class CellCounts:
         return CellCounts(self.mentioned + mentioned, self.not_mentioned + not_mentioned)
 
 
-@dataclass(frozen=True)
-class PublicationRecord:
-    """One paper's assignment to a stratum, with its mention count."""
+class PublicationRecord(
+    NamedTuple(
+        "_Publication",
+        [("paper_id", str), ("field_id", str), ("year", int), ("mentions", int)],
+    )
+):
+    """One paper's assignment to a stratum, with its mention count.
 
-    paper_id: str
-    field_id: str
-    year: int
-    mentions: int
+    Construction, `_replace` included, checks the rules a single row must
+    meet: non-empty ids, a year in `DEFAULT_YEAR_RANGE`, mentions >= 0.
+    """
 
-    @property
-    def stratum(self) -> StratumKey:
-        return StratumKey(self.field_id, self.year)
+    __slots__ = ()
+
+    def __new__(cls, paper_id: str, field_id: str, year: int, mentions: int):
+        lo, hi = DEFAULT_YEAR_RANGE
+        if not paper_id:
+            raise InputDataError("empty paper_id")
+        if not field_id:
+            raise InputDataError("empty field_id")
+        if not lo <= year <= hi:
+            raise InputDataError(f"year {year} outside [{lo}, {hi}]")
+        if mentions < 0:
+            raise InputDataError(f"negative mention count {mentions}")
+        # The generated namedtuple __new__ would cost a second call per row.
+        return tuple.__new__(cls, (paper_id, field_id, year, mentions))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PublicationRecord":
+        return cls(*iterable)
 
     @property
     def is_mentioned(self) -> bool:
@@ -115,12 +134,16 @@ class CountProfile:
         ).reshape(-1, 2)
         self.counts.flags.writeable = False
 
-    def _with(self, keys: tuple, counts: np.ndarray) -> "CountProfile":
-        """A profile with this label over sorted `keys` and their `counts`."""
+    @staticmethod
+    def _of(label: str, keys: tuple, counts: np.ndarray) -> "CountProfile":
+        """A profile over sorted `keys` and their `(strata, 2)` float64 `counts`."""
         profile = object.__new__(CountProfile)
-        profile.label, profile._keys, profile.counts = self.label, keys, counts
+        profile.label, profile._keys, profile.counts = label, keys, counts
         counts.flags.writeable = False
         return profile
+
+    def _with(self, keys: tuple, counts: np.ndarray) -> "CountProfile":
+        return CountProfile._of(self.label, keys, counts)
 
     @cached_property
     def _rows(self) -> dict[StratumKey, int]:
@@ -217,102 +240,110 @@ class CorrectionResult:
     notes: tuple[str, ...]
 
 
+def _codes(index: Mapping, values: list) -> np.ndarray:
+    """The integer code that `index` gives each of `values`."""
+    return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+def _factorize(values: list) -> tuple[list, np.ndarray]:
+    """The sorted distinct `values` and the index of each value among them."""
+    distinct = sorted(set(values))
+    return distinct, _codes(dict(zip(distinct, count())), values)
+
+
 def build_profiles(
     records: Sequence[PublicationRecord],
     memberships: Sequence[tuple[str, str]],
-    *,
-    year_range: tuple[int, int] = DEFAULT_YEAR_RANGE,
 ) -> tuple[CountProfile, dict[str, CountProfile]]:
     """Aggregate per-paper records into world and group count profiles.
 
     Parameters
     ----------
     records:
-        Paper-to-stratum assignments. A paper may appear under several
-        strata (multi-field papers) but only once per stratum.
+        Paper-to-stratum assignments, which check their own row rules. A
+        paper may appear under several strata (multi-field papers) but only
+        once per stratum.
     memberships:
         (paper_id, group_id) pairs. Every cited paper must exist in
         `records`; a paper contributes to a group in every stratum it is
         assigned to. Duplicate pairs are collapsed with a warning.
-    year_range:
-        Inclusive bounds on accepted publication years.
 
     Returns
     -------
     (world, groups):
         The world profile over all records plus one profile per group
-        label. Profiles compare equal across permutations of the inputs.
+        label, each over the strata where it has papers. Profiles compare
+        equal across permutations of the inputs.
 
     Raises
     ------
     InputDataError
-        On duplicate (paper, stratum) assignments, years outside
-        `year_range`, negative mention counts, unknown paper ids in
-        `memberships`, or a group labelled with the reserved world label.
+        On duplicate (paper, stratum) assignments, empty group labels,
+        unknown paper ids in `memberships`, or a group labelled with the
+        reserved world label.
     """
-    lo, hi = year_range
-    if lo > hi:
-        raise InputDataError("year_range lower bound exceeds upper bound")
+    paper_ids, fields, years, mentions = (
+        list(map(attrgetter(name), records)) for name in PublicationRecord._fields
+    )
+    year_values, year_codes = _factorize(years)
+    _, first_rows, stratum_codes = np.unique(
+        _factorize(fields)[1] * len(year_values) + year_codes,
+        return_index=True,
+        return_inverse=True,
+    )
+    keys = tuple(StratumKey(fields[row], years[row]) for row in first_rows.tolist())
+    # A paper's code is the index of its last row.
+    paper_index = dict(zip(paper_ids, count()))
+    paper_codes = _codes(paper_index, paper_ids)
+    unmentioned = np.fromiter(map(not_, mentions), bool, len(mentions))
 
-    world_cells: dict[StratumKey, CellCounts] = {}
-    paper_strata: dict[str, list[tuple[StratumKey, bool]]] = {}
-    seen: set[tuple[str, StratumKey]] = set()
+    first = np.unique(paper_codes * len(keys) + stratum_codes, return_index=True)[1]
+    if len(first) < len(paper_ids):
+        row = np.setdiff1d(np.arange(len(paper_ids)), first)[0]
+        raise InputDataError(
+            f"paper {paper_ids[row]!r} assigned to stratum "
+            f"{keys[stratum_codes[row]]} more than once"
+        )
+    cells = np.bincount(stratum_codes * 2 + unmentioned, minlength=2 * len(keys))
+    world = CountProfile._of(WORLD_LABEL, keys, cells.reshape(-1, 2).astype(float))
 
-    for rec in records:
-        if not rec.paper_id:
-            raise InputDataError("publication record has empty paper_id")
-        if rec.mentions < 0:
-            raise InputDataError(
-                f"paper {rec.paper_id!r} has negative mention count {rec.mentions}"
-            )
-        if not (lo <= rec.year <= hi):
-            raise InputDataError(
-                f"paper {rec.paper_id!r} has year {rec.year} outside [{lo}, {hi}]"
-            )
-        key = rec.stratum
-        pair = (rec.paper_id, key)
-        if pair in seen:
-            raise InputDataError(
-                f"paper {rec.paper_id!r} assigned to stratum {key} more than once"
-            )
-        seen.add(pair)
-        mentioned = rec.is_mentioned
-        cell = world_cells.get(key, CellCounts(0, 0))
-        world_cells[key] = cell.add(int(mentioned), int(not mentioned))
-        paper_strata.setdefault(rec.paper_id, []).append((key, mentioned))
-
-    group_cells: dict[str, dict[StratumKey, CellCounts]] = {}
-    seen_pairs: set[tuple[str, str]] = set()
-    duplicates = 0
-    for paper_id, group_id in memberships:
+    pairs = dict.fromkeys(memberships)
+    for paper_id, group_id in pairs:
         if not group_id:
             raise InputDataError("membership row has empty group_id")
         if group_id == WORLD_LABEL:
             raise InputDataError(
                 f"group label {WORLD_LABEL!r} is reserved for the world profile"
             )
-        if (paper_id, group_id) in seen_pairs:
-            duplicates += 1
-            continue
-        seen_pairs.add((paper_id, group_id))
-        strata = paper_strata.get(paper_id)
-        if strata is None:
-            raise InputDataError(
-                f"membership references unknown paper {paper_id!r}"
-            )
-        cells = group_cells.setdefault(group_id, {})
-        for key, mentioned in strata:
-            cell = cells.get(key, CellCounts(0, 0))
-            cells[key] = cell.add(int(mentioned), int(not mentioned))
-
-    if duplicates:
+        if paper_id not in paper_index:
+            raise InputDataError(f"membership references unknown paper {paper_id!r}")
+    if duplicates := len(memberships) - len(pairs):
         logger.warning("collapsed %d duplicate membership pair(s)", duplicates)
 
-    world = CountProfile(WORLD_LABEL, world_cells)
-    groups = {
-        label: CountProfile(label, cells)
-        for label, cells in sorted(group_cells.items())
-    }
+    # Pair each membership with every record row of its paper, reading the
+    # paper's run of rows from the rows sorted by paper.
+    labels, member_groups = _factorize([group_id for _, group_id in pairs])
+    member_papers = _codes(paper_index, [paper_id for paper_id, _ in pairs])
+    by_paper = np.argsort(paper_codes, kind="stable")
+    per_paper = np.bincount(paper_codes)
+    reps = per_paper[member_papers]
+    shift = np.cumsum(per_paper)[member_papers] - np.cumsum(reps)
+    rows = by_paper[np.arange(reps.sum()) + np.repeat(shift, reps)]
+
+    # Codes of the (group, stratum) cells that hold papers, sorted by group
+    # and then by stratum, so each group's strata are one sorted run.
+    held, cell_of_row = np.unique(
+        np.repeat(member_groups, reps) * len(keys) + stratum_codes[rows],
+        return_inverse=True,
+    )
+    counts = np.bincount(cell_of_row * 2 + unmentioned[rows], minlength=2 * len(held))
+    counts = counts.reshape(-1, 2).astype(float)
+    group_of, stratum_of = np.divmod(held, len(keys))
+    bounds = np.searchsorted(group_of, np.arange(len(labels) + 1))
+    groups = {}
+    for label, lo, hi in zip(labels, bounds, bounds[1:]):
+        strata_of = tuple(map(keys.__getitem__, stratum_of[lo:hi].tolist()))
+        groups[label] = CountProfile._of(label, strata_of, counts[lo:hi])
     return world, groups
 
 

@@ -62,17 +62,13 @@ def _parse_int(raw: str, line: int, what: str) -> int:
         ) from None
 
 
-def parse_publications(
-    lines: Iterable[str],
-    *,
-    year_range: tuple[int, int] = DEFAULT_YEAR_RANGE,
-) -> list[PublicationRecord]:
+def parse_publications(lines: Iterable[str]) -> list[PublicationRecord]:
     """Parse publication rows, validating eagerly with 1-based line numbers.
 
-    The header must be exactly ``paper_id,field_id,year,mentions``. Every
-    violation (wrong column count, empty ids, non-integer or negative
-    numbers, years outside `year_range`, duplicate paper/field pairs)
-    raises `InputDataError` naming the offending line.
+    The header must be exactly ``paper_id,field_id,year,mentions``. A wrong
+    column count, a non-integer year or mention count, or a row that breaks
+    a `PublicationRecord` rule raises `InputDataError` naming the offending
+    line. Duplicate assignments are found by `build_profiles`.
     """
     reader = csv.reader(lines)
     try:
@@ -85,9 +81,7 @@ def parse_publications(
             f"got {','.join(header)!r}"
         )
 
-    lo, hi = year_range
     records: list[PublicationRecord] = []
-    first_seen: dict[tuple[str, str], int] = {}
     for row in reader:
         line = reader.line_num
         if not row:
@@ -97,28 +91,12 @@ def parse_publications(
                 f"line {line}: expected 4 fields, got {len(row)}"
             )
         paper_id, field_id, year_raw, mentions_raw = row
-        if not paper_id:
-            raise InputDataError(f"line {line}: empty paper_id")
-        if not field_id:
-            raise InputDataError(f"line {line}: empty field_id")
         year = _parse_int(year_raw, line, "year")
-        if not (lo <= year <= hi):
-            raise InputDataError(
-                f"line {line}: year {year} outside [{lo}, {hi}]"
-            )
         mentions = _parse_int(mentions_raw, line, "mentions")
-        if mentions < 0:
-            raise InputDataError(
-                f"line {line}: negative mention count {mentions}"
-            )
-        dup = first_seen.get((paper_id, field_id))
-        if dup is not None:
-            raise InputDataError(
-                f"line {line}: paper {paper_id!r} already assigned to field "
-                f"{field_id!r} on line {dup}"
-            )
-        first_seen[(paper_id, field_id)] = line
-        records.append(PublicationRecord(paper_id, field_id, year, mentions))
+        try:
+            records.append(PublicationRecord(paper_id, field_id, year, mentions))
+        except InputDataError as exc:
+            raise InputDataError(f"line {line}: {exc}") from None
     if not records:
         raise InputDataError("publications input has no data rows")
     return records
@@ -171,7 +149,6 @@ class ReportConfig:
     min_stratum_papers: int = 10
     zero_handling: str = "correct"
     restrict_to_group_strata: str | None = None
-    year_range: tuple[int, int] = DEFAULT_YEAR_RANGE
     collapse_years: bool = False
     compare: tuple[tuple[str, str], ...] = ()
 
@@ -328,7 +305,7 @@ def run_report(config: ReportConfig) -> dict:
     """
     try:
         with open(config.publications, newline="", encoding="utf-8-sig") as fh:
-            records = parse_publications(fh, year_range=config.year_range)
+            records = parse_publications(fh)
     except OSError as exc:
         raise InputDataError(f"cannot read publications: {exc}") from exc
     try:
@@ -341,7 +318,7 @@ def run_report(config: ReportConfig) -> dict:
     if config.collapse_years:
         base_year = min(r.year for r in records)
         n_years = len({r.year for r in records})
-        records = [replace(r, year=base_year) for r in records]
+        records = [r._replace(year=base_year) for r in records]
         if n_years > 1:
             notes.append(
                 f"collapsed {n_years} publication years into a single "
@@ -349,9 +326,7 @@ def run_report(config: ReportConfig) -> dict:
             )
 
     duplicate_pairs = len(pairs) - len(set(pairs))
-    world, groups = build_profiles(
-        records, pairs, year_range=config.year_range
-    )
+    world, groups = build_profiles(records, pairs)
 
     filter_config = FilterConfig(
         min_stratum_papers=config.min_stratum_papers,
@@ -401,7 +376,7 @@ def run_report(config: ReportConfig) -> dict:
                 "min_stratum_papers": config.min_stratum_papers,
                 "zero_handling": config.zero_handling,
                 "restrict_to_group_strata": config.restrict_to_group_strata,
-                "year_range": list(config.year_range),
+                "year_range": list(DEFAULT_YEAR_RANGE),
                 "collapse_years": config.collapse_years,
             },
             "publications": {

@@ -25,6 +25,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat, starmap
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -278,32 +279,20 @@ def generate_synthetic(
     rng = np.random.default_rng(master)
     records: list[PublicationRecord] = []
     pairs: list[tuple[str, str]] = []
-    background = spec.background_sizes()
+    background, groups = spec.background_sizes(), spec.groups
     for i, stratum in enumerate(spec.strata):
-        key = stratum.key
-        for group in spec.groups:
-            size = group.sizes[i]
+        (field_id, year), p = stratum.key, stratum.mention_probability
+        draws = [(g.label, g.sizes[i], group_probability(p, g.theta)) for g in groups]
+        for label, size, q in [*draws, ("bg", background[i], p)]:
             if size == 0:
                 continue
-            q = group_probability(stratum.mention_probability, group.theta)
             hits = rng.binomial(1, q, size=size)
-            extra = rng.poisson(1.0, size=size)
-            for j in range(size):
-                paper_id = f"{group.label}:{key.field_id}:{key.year}:{j:05d}"
-                mentions = int(hits[j] * (1 + extra[j]))
-                records.append(
-                    PublicationRecord(paper_id, key.field_id, key.year, mentions)
-                )
-                pairs.append((paper_id, group.label))
-        if background[i] > 0:
-            hits = rng.binomial(1, stratum.mention_probability, size=background[i])
-            extra = rng.poisson(1.0, size=background[i])
-            for j in range(background[i]):
-                paper_id = f"bg:{key.field_id}:{key.year}:{j:05d}"
-                mentions = int(hits[j] * (1 + extra[j]))
-                records.append(
-                    PublicationRecord(paper_id, key.field_id, key.year, mentions)
-                )
+            mentions = (hits * (1 + rng.poisson(1.0, size=size))).tolist()
+            ids = [f"{label}:{field_id}:{year}:{j:05d}" for j in range(size)]
+            rows = zip(ids, repeat(field_id), repeat(year), mentions)
+            records.extend(starmap(PublicationRecord, rows))
+            if label != "bg":
+                pairs.extend(zip(ids, repeat(label)))
     return records, pairs
 
 

@@ -105,9 +105,16 @@ class TestBuildProfiles:
     def test_year_out_of_range_rejected(self):
         with pytest.raises(InputDataError, match="outside"):
             build_profiles([rec("p1", "bio", year=1850)], [])
-        build_profiles(
-            [rec("p1", "bio", year=1850)], [], year_range=(1800, 2100)
-        )
+
+    def test_unchecked_tuple_rejected(self):
+        # A plain tuple has not passed the record's row rules, so it is
+        # never counted, not even as an unmentioned paper.
+        with pytest.raises(AttributeError):
+            build_profiles([("p1", "bio", 2010, -1)], [])
+
+    def test_replace_keeps_row_rules(self):
+        with pytest.raises(InputDataError, match="negative mention count -1"):
+            rec("p1", "bio")._replace(mentions=-1)
 
     def test_duplicate_membership_collapsed_with_warning(self, caplog):
         records = [rec("p1", "bio")]

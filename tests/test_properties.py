@@ -239,6 +239,60 @@ class TestDichotomization:
         assert build_profiles(records, pairs) == build_profiles(clipped, pairs)
 
 
+def reference_profiles(records, memberships):
+    """Per-row dict aggregation: the way `build_profiles` once counted cells."""
+    world_cells = {}
+    paper_strata = {}
+    for rec in records:
+        key = StratumKey(rec.field_id, rec.year)
+        mentioned = rec.is_mentioned
+        cell = world_cells.get(key, CellCounts(0, 0))
+        world_cells[key] = cell.add(int(mentioned), int(not mentioned))
+        paper_strata.setdefault(rec.paper_id, []).append((key, mentioned))
+    group_cells = {}
+    for paper_id, group_id in set(memberships):
+        cells = group_cells.setdefault(group_id, {})
+        for key, mentioned in paper_strata[paper_id]:
+            cell = cells.get(key, CellCounts(0, 0))
+            cells[key] = cell.add(int(mentioned), int(not mentioned))
+    groups = {
+        label: CountProfile(label, cells) for label, cells in sorted(group_cells.items())
+    }
+    return CountProfile("world", world_cells), groups
+
+
+@st.composite
+def ingest_inputs(draw):
+    """Shuffled records of multi-field papers and memberships with repeats."""
+    fields = st.sampled_from(["f0", "f1", "f2", "f3"])
+    stratum = st.tuples(fields, st.integers(2000, 2002))
+    strata_sets = st.sets(stratum, min_size=1, max_size=3)
+    papers = draw(st.lists(strata_sets, min_size=1, max_size=25))
+    records = [
+        PublicationRecord(f"p{i}", field_id, year, draw(st.integers(0, 3)))
+        for i, strata in enumerate(papers)
+        for field_id, year in sorted(strata)
+    ]
+    paper_ids = st.integers(0, len(papers) - 1).map("p{}".format)
+    memberships = draw(
+        st.lists(st.tuples(paper_ids, st.sampled_from(["g0", "g1", "g2"])), max_size=40)
+    )
+    return draw(st.permutations(records)), memberships
+
+
+class TestAggregationReference:
+    @given(ingest_inputs())
+    def test_build_profiles_matches_per_row_reference(self, inputs):
+        world, groups = build_profiles(*inputs)
+        ref_world, ref_groups = reference_profiles(*inputs)
+        assert list(groups) == list(ref_groups)
+        profiles = [world, *groups.values()]
+        for profile, ref in zip(profiles, [ref_world, *ref_groups.values()]):
+            assert profile.label == ref.label
+            assert profile.strata() == ref.strata()
+            assert profile.counts.tolist() == ref.counts.tolist()
+
+
 class TestFilterMonotonicity:
     @given(paired_profiles(max_strata=6), st.integers(0, 20), st.integers(0, 20))
     def test_raising_min_papers_never_keeps_more(self, pair, lo, hi):

@@ -10,7 +10,9 @@ from zinorm import (
     DegenerateComputationError,
     IndicatorKind,
     InputDataError,
+    PublicationRecord,
     ReportConfig,
+    build_profiles,
     parse_membership,
     parse_publications,
     render_json,
@@ -84,16 +86,53 @@ class TestParsePublications:
         lines = ["paper_id,field_id,year,mentions", "p1,bio,1850,1"]
         with pytest.raises(InputDataError, match="outside"):
             parse_publications(lines)
-        assert parse_publications(lines, year_range=(1800, 2100))
 
     def test_duplicate_names_both_lines(self):
+        # The paper and the stratum in the message locate both rows.
         lines = [
             "paper_id,field_id,year,mentions",
             "p1,bio,2010,1",
             "p2,bio,2010,1",
             "p1,bio,2010,0",
         ]
-        with pytest.raises(InputDataError, match="line 4.*line 2"):
+        with pytest.raises(
+            InputDataError,
+            match=r"^paper 'p1' assigned to stratum bio/2010 more than once$",
+        ):
+            build_profiles(parse_publications(lines), [])
+
+    def test_same_paper_and_field_in_two_years(self):
+        lines = [
+            "paper_id,field_id,year,mentions",
+            "p1,bio,2010,1",
+            "p1,bio,2011,0",
+        ]
+        world, groups = build_profiles(parse_publications(lines), [("p1", "g")])
+        assert [str(key) for key in world.strata()] == ["bio/2010", "bio/2011"]
+        assert groups["g"].counts.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize(
+        "row, body",
+        [
+            (",bio,2010,1", "empty paper_id"),
+            ("p1,,2010,1", "empty field_id"),
+            ("p1,bio,1850,1", "year 1850 outside [1900, 2100]"),
+            ("p1,bio,2010,-2", "negative mention count -2"),
+        ],
+    )
+    def test_row_rules_have_one_source(self, row, body):
+        paper_id, field_id, year, mentions = row.split(",")
+        with pytest.raises(InputDataError) as record_error:
+            PublicationRecord(paper_id, field_id, int(year), int(mentions))
+        assert str(record_error.value) == body
+        lines = ["paper_id,field_id,year,mentions", "p0,bio,2010,0", row]
+        with pytest.raises(InputDataError) as parse_error:
+            parse_publications(lines)
+        assert str(parse_error.value) == f"line 3: {body}"
+
+    def test_integer_syntax_reported_before_row_rules(self):
+        lines = ["paper_id,field_id,year,mentions", ",bio,20x0,1"]
+        with pytest.raises(InputDataError, match="^line 2: year '20x0' is not"):
             parse_publications(lines)
 
     def test_blank_lines_skipped(self):
@@ -393,6 +432,33 @@ class TestCli:
         )
         assert result.returncode == 3
         assert result.stderr.startswith("ERROR:")
+
+    def _compute_exit_2(self, tmp_path, rows, *extra):
+        pubs = tmp_path / "publications.csv"
+        members = tmp_path / "membership.csv"
+        pubs.write_text("paper_id,field_id,year,mentions\n" + "".join(rows))
+        members.write_text("paper_id,group_id\np1,g\n")
+        result = run_cli(
+            "compute",
+            "--publications", str(pubs),
+            "--membership", str(members),
+            "--indicators", "mhq",
+            "--min-stratum-papers", "0",
+            *extra,
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "ERROR: paper 'p1' assigned to stratum bio/2010 more than once\n"
+        )
+
+    def test_duplicate_row_exits_2(self, tmp_path):
+        rows = ["p1,bio,2010,1\n", "p2,bio,2010,0\n", "p1,bio,2010,0\n"]
+        self._compute_exit_2(tmp_path, rows)
+
+    def test_collapse_years_rejects_paper_in_two_years(self, tmp_path):
+        # Merged into one stratum, p1 would count twice there.
+        rows = ["p1,bio,2010,1\n", "p2,bio,2010,0\n", "p1,bio,2011,0\n"]
+        self._compute_exit_2(tmp_path, rows, "--collapse-years")
 
     def test_no_subcommand_exits_2(self):
         result = run_cli()

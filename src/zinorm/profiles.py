@@ -14,8 +14,9 @@ across threads.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress, count
 from operator import attrgetter, not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -32,6 +33,15 @@ DEFAULT_YEAR_RANGE = (1900, 2100)
 WORLD_LABEL = "world"
 
 
+def years_outside(year):
+    """The year rule, elementwise: true where `year` is outside `DEFAULT_YEAR_RANGE`."""
+    return (year < DEFAULT_YEAR_RANGE[0]) | (year > DEFAULT_YEAR_RANGE[1])
+
+
+def year_error(year) -> str:
+    return "year {} outside [{}, {}]".format(year, *DEFAULT_YEAR_RANGE)
+
+
 class StratumKey(NamedTuple("_Stratum", [("field_id", str), ("year", int)])):
     """A (field, publication year) stratum identifier.
 
@@ -46,6 +56,10 @@ class StratumKey(NamedTuple("_Stratum", [("field_id", str), ("year", int)])):
         if not field_id:
             raise InputDataError("stratum field_id must be non-empty")
         return super().__new__(cls, field_id, year)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "StratumKey":
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.field_id}/{self.year}"
@@ -89,23 +103,15 @@ class PublicationRecord(
     """One paper's assignment to a stratum, with its mention count.
 
     Construction, `_replace` included, checks the rules a single row must
-    meet: non-empty ids, a year in `DEFAULT_YEAR_RANGE`, mentions >= 0.
+    meet, as a one-row `Publications` table: non-empty ids, a year in
+    `DEFAULT_YEAR_RANGE`, mentions >= 0.
     """
 
     __slots__ = ()
 
     def __new__(cls, paper_id: str, field_id: str, year: int, mentions: int):
-        lo, hi = DEFAULT_YEAR_RANGE
-        if not paper_id:
-            raise InputDataError("empty paper_id")
-        if not field_id:
-            raise InputDataError("empty field_id")
-        if not lo <= year <= hi:
-            raise InputDataError(f"year {year} outside [{lo}, {hi}]")
-        if mentions < 0:
-            raise InputDataError(f"negative mention count {mentions}")
-        # The generated namedtuple __new__ would cost a second call per row.
-        return tuple.__new__(cls, (paper_id, field_id, year, mentions))
+        Publications([paper_id], [field_id], [year], [mentions])
+        return super().__new__(cls, paper_id, field_id, year, mentions)
 
     @classmethod
     def _make(cls, iterable: Iterable) -> "PublicationRecord":
@@ -114,6 +120,70 @@ class PublicationRecord(
     @property
     def is_mentioned(self) -> bool:
         return self.mentions > 0
+
+
+#: A record from a row that its table has already checked.
+_record = partial(tuple.__new__, PublicationRecord)
+
+
+class Publications(Sequence):
+    """Publication rows as columns, checked against the row rules when built.
+
+    `paper_id` is a list, field ids are `field_codes` into the sorted
+    distinct `fields`, `year` and `mentions` are int64 arrays, and `line`
+    holds each row's 1-based input line, or is None for rows not read from
+    a file. The first row with an empty id, a year outside
+    `DEFAULT_YEAR_RANGE` or a negative mention count raises
+    `InputDataError`, prefixed with ``line N: `` when lines are known.
+    Items are `PublicationRecord`s.
+    """
+
+    def __init__(self, paper_id: list, field_id: list, year, mentions, line=None):
+        self.paper_id, self.line = paper_id, line
+        self.fields, self.field_codes = _factorize(field_id)
+        year, mentions = _integers(year), _integers(mentions)
+        rules = (
+            (np.fromiter(map(not_, paper_id), bool, len(paper_id)), lambda i: "empty paper_id"),
+            (np.array([not f for f in self.fields], bool)[self.field_codes], lambda i: "empty field_id"),
+            (years_outside(year), lambda i: year_error(year[i])),
+            (mentions < 0, lambda i: f"negative mention count {mentions[i]}"),
+        )
+        if broken := [mask.argmax() for mask, _ in rules if mask.any()]:
+            row = min(broken)
+            message = next(message(row) for mask, message in rules if mask[row])
+            raise InputDataError(message if line is None else f"line {line[row]}: {message}")
+        if mentions.dtype != np.int64:
+            # Only mentioned-or-not is read, so a count past int64 keeps its maximum.
+            mentions = np.minimum(mentions, 2**63 - 1).astype(np.int64)
+        self.year, self.mentions = year.astype(np.int64, copy=False), mentions
+
+    @classmethod
+    def of(cls, records: Iterable[PublicationRecord]) -> "Publications":
+        """`records` as a table; a table is returned as it is."""
+        if isinstance(records, Publications):
+            return records
+        rows = list(map(attrgetter(*PublicationRecord._fields), records))
+        return cls(*map(list, zip(*rows))) if rows else cls([], [], [], [])
+
+    def __len__(self) -> int:
+        return len(self.paper_id)
+
+    def __getitem__(self, row: int) -> PublicationRecord:
+        field_id = self.fields[self.field_codes[row]]
+        return _record((self.paper_id[row], field_id, int(self.year[row]), int(self.mentions[row])))
+
+    def __iter__(self) -> Iterator[PublicationRecord]:
+        # In blocks, so that no column is held as a full list of Python ints.
+        for start in range(0, len(self), 1 << 16):
+            block = slice(start, start + (1 << 16))
+            field_ids = map(self.fields.__getitem__, self.field_codes[block].tolist())
+            columns = self.year[block].tolist(), self.mentions[block].tolist()
+            yield from map(_record, zip(self.paper_id[block], field_ids, *columns))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 class CountProfile:
@@ -240,6 +310,12 @@ class CorrectionResult:
     notes: tuple[str, ...]
 
 
+def _integers(values) -> np.ndarray:
+    """`values` as an integer array, of Python ints where no one dtype holds them all."""
+    array = np.asarray(values)
+    return array if array.dtype.kind in "iu" else np.array(values, object)
+
+
 def _codes(index: Mapping, values: list) -> np.ndarray:
     """The integer code that `index` gives each of `values`."""
     return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
@@ -251,18 +327,28 @@ def _factorize(values: list) -> tuple[list, np.ndarray]:
     return distinct, _codes(dict(zip(distinct, count())), values)
 
 
+class Profiles(tuple):
+    """`(world, groups)`, with the `papers` and membership `pairs` counted distinct."""
+
+    def __new__(cls, world, groups, papers: int, pairs: int):
+        profiles = super().__new__(cls, (world, groups))
+        profiles.papers, profiles.pairs = papers, pairs
+        return profiles
+
+
 def build_profiles(
-    records: Sequence[PublicationRecord],
+    records: Iterable[PublicationRecord],
     memberships: Sequence[tuple[str, str]],
-) -> tuple[CountProfile, dict[str, CountProfile]]:
+) -> Profiles:
     """Aggregate per-paper records into world and group count profiles.
 
     Parameters
     ----------
     records:
-        Paper-to-stratum assignments, which check their own row rules. A
-        paper may appear under several strata (multi-field papers) but only
-        once per stratum.
+        Paper-to-stratum assignments: a `Publications` table or any
+        iterable of `PublicationRecord`s, which check their own row rules.
+        A paper may appear under several strata (multi-field papers) but
+        only once per stratum.
     memberships:
         (paper_id, group_id) pairs. Every cited paper must exist in
         `records`; a paper contributes to a group in every stratum it is
@@ -272,8 +358,8 @@ def build_profiles(
     -------
     (world, groups):
         The world profile over all records plus one profile per group
-        label, each over the strata where it has papers. Profiles compare
-        equal across permutations of the inputs.
+        label, each over the strata where it has papers, as a `Profiles`
+        pair. Profiles compare equal across permutations of the inputs.
 
     Raises
     ------
@@ -282,26 +368,29 @@ def build_profiles(
         unknown paper ids in `memberships`, or a group labelled with the
         reserved world label.
     """
-    paper_ids, fields, years, mentions = (
-        list(map(attrgetter(name), records)) for name in PublicationRecord._fields
-    )
-    year_values, year_codes = _factorize(years)
+    start = time.perf_counter()
+    table = Publications.of(records)
+    year_values, year_codes = np.unique(table.year, return_inverse=True)
     _, first_rows, stratum_codes = np.unique(
-        _factorize(fields)[1] * len(year_values) + year_codes,
+        table.field_codes * len(year_values) + year_codes,
         return_index=True,
         return_inverse=True,
     )
-    keys = tuple(StratumKey(fields[row], years[row]) for row in first_rows.tolist())
-    # A paper's code is the index of its last row.
-    paper_index = dict(zip(paper_ids, count()))
-    paper_codes = _codes(paper_index, paper_ids)
-    unmentioned = np.fromiter(map(not_, mentions), bool, len(mentions))
+    keys = tuple(StratumKey(*table[row][1:3]) for row in first_rows.tolist())
+    # A paper's code is the index of its first row.
+    paper_index: dict[str, int] = {}
+    paper_codes = np.fromiter(
+        map(paper_index.setdefault, table.paper_id, count()), np.intp, len(table)
+    )
+    unmentioned = table.mentions == 0
 
-    first = np.unique(paper_codes * len(keys) + stratum_codes, return_index=True)[1]
-    if len(first) < len(paper_ids):
-        row = np.setdiff1d(np.arange(len(paper_ids)), first)[0]
+    # Rows sorted by paper and stratum: a repeated row follows its first one.
+    assignments = paper_codes * len(keys) + stratum_codes
+    by_paper = np.argsort(assignments, kind="stable")
+    if len(repeated := by_paper[1:][np.diff(assignments[by_paper]) == 0]):
+        row = repeated.min()
         raise InputDataError(
-            f"paper {paper_ids[row]!r} assigned to stratum "
+            f"paper {table.paper_id[row]!r} assigned to stratum "
             f"{keys[stratum_codes[row]]} more than once"
         )
     cells = np.bincount(stratum_codes * 2 + unmentioned, minlength=2 * len(keys))
@@ -324,7 +413,6 @@ def build_profiles(
     # paper's run of rows from the rows sorted by paper.
     labels, member_groups = _factorize([group_id for _, group_id in pairs])
     member_papers = _codes(paper_index, [paper_id for paper_id, _ in pairs])
-    by_paper = np.argsort(paper_codes, kind="stable")
     per_paper = np.bincount(paper_codes)
     reps = per_paper[member_papers]
     shift = np.cumsum(per_paper)[member_papers] - np.cumsum(reps)
@@ -344,7 +432,11 @@ def build_profiles(
     for label, lo, hi in zip(labels, bounds, bounds[1:]):
         strata_of = tuple(map(keys.__getitem__, stratum_of[lo:hi].tolist()))
         groups[label] = CountProfile._of(label, strata_of, counts[lo:hi])
-    return world, groups
+    logger.info(
+        "profiles.build_profiles %.3f s, %d rows in, %d strata out",
+        time.perf_counter() - start, len(table), len(keys),
+    )
+    return Profiles(world, groups, len(paper_index), len(pairs))
 
 
 def apply_filters(

@@ -14,12 +14,17 @@ byte-identical across runs for identical inputs.
 
 from __future__ import annotations
 
+import copy
 import csv
+import io
 import json
 import logging
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DegenerateComputationError, InputDataError
 from .indicators import (
@@ -38,7 +43,7 @@ from .profiles import (
     WORLD_LABEL,
     CountProfile,
     FilterConfig,
-    PublicationRecord,
+    Publications,
     apply_filters,
     build_profiles,
     continuity_correct,
@@ -62,44 +67,104 @@ def _parse_int(raw: str, line: int, what: str) -> int:
         ) from None
 
 
-def parse_publications(lines: Iterable[str]) -> list[PublicationRecord]:
-    """Parse publication rows, validating eagerly with 1-based line numbers.
+def _plain_publications(text: str) -> Publications | str:
+    """The table of a plain publications `text`, or why it is not plain.
 
-    The header must be exactly ``paper_id,field_id,year,mentions``. A wrong
-    column count, a non-integer year or mention count, or a row that breaks
-    a `PublicationRecord` rule raises `InputDataError` naming the offending
-    line. Duplicate assignments are found by `build_profiles`.
+    A plain text is the header line and then lines of four fields, with no
+    quote character and no carriage return, whose years and mention counts
+    are 1 to 18 ASCII digits. The csv module and `int()` read such a text
+    as `str.split` and numpy do.
     """
+    head = ",".join(PUBLICATION_HEADER) + "\n"
+    if '"' in text or "\r" in text:
+        return "quote or carriage return"
+    if not text.startswith(head) or text == head:
+        return "header or no data rows"
+    body = text[len(head):] + ("" if text.endswith("\n") else "\n")
+    # Newlines and commas are single bytes in UTF-8, so bytes locate them.
+    buf = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    ends, commas = np.flatnonzero(buf == ord("\n")), np.flatnonzero(buf == ord(","))
+    if len(commas) != 3 * len(ends):
+        return "field count"
+    # With three commas per line, each line holds its own three when no
+    # field has a negative width.
+    width = np.diff(np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(-1, 3), ends])) - 1
+    del buf, ends, commas
+    if width.min() < 0:
+        return "field count"
+    if width[:, 2:].min() < 1 or width[:, 2:].max() > 18:
+        return "year or mentions width"
+    del width
+    fields = body.replace("\n", ",").split(",")
+    del body, fields[-1]
+    digits = "".join(fields[2::4]) + "".join(fields[3::4])
+    if not (digits.isascii() and digits.isdigit()):
+        return "year or mentions not plain digits"
+    year, mentions = (np.fromstring(" ".join(fields[i::4]), np.int64, sep=" ") for i in (2, 3))
+    return Publications(fields[0::4], fields[1::4], year, mentions, range(2, len(year) + 2))
+
+
+def _csv_rows(lines: Iterable[str], header: list[str], what: str) -> Iterator:
+    """The line and fields of each non-blank row after `header`, read by the csv module."""
     reader = csv.reader(lines)
     try:
-        header = next(reader)
+        first = next(reader)
     except StopIteration:
-        raise InputDataError("publications input is empty") from None
-    if header != PUBLICATION_HEADER:
+        raise InputDataError(f"{what} input is empty") from None
+    if first != header:
         raise InputDataError(
-            f"publications header must be {','.join(PUBLICATION_HEADER)!r}, "
-            f"got {','.join(header)!r}"
+            f"{what} header must be {','.join(header)!r}, got {','.join(first)!r}"
         )
-
-    records: list[PublicationRecord] = []
+    width = len(header)
     for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 4:
+        if len(row) != width:
+            if not row:
+                continue
             raise InputDataError(
-                f"line {line}: expected 4 fields, got {len(row)}"
+                f"line {reader.line_num}: expected {width} fields, got {len(row)}"
             )
-        paper_id, field_id, year_raw, mentions_raw = row
-        year = _parse_int(year_raw, line, "year")
-        mentions = _parse_int(mentions_raw, line, "mentions")
-        try:
-            records.append(PublicationRecord(paper_id, field_id, year, mentions))
-        except InputDataError as exc:
-            raise InputDataError(f"line {line}: {exc}") from None
-    if not records:
+        yield reader.line_num, row
+
+
+def _csv_publications(lines: Iterable[str]) -> Publications:
+    rows = []
+    try:
+        for line, (paper_id, field_id, year, mentions) in _csv_rows(
+            lines, PUBLICATION_HEADER, "publications"
+        ):
+            year, mentions = _parse_int(year, line, "year"), _parse_int(mentions, line, "mentions")
+            rows.append((paper_id, field_id, year, mentions, line))
+    except InputDataError:
+        if rows:  # A row rule broken on an earlier line is reported first.
+            Publications(*map(list, zip(*rows)))
+        raise
+    if not rows:
         raise InputDataError("publications input has no data rows")
-    return records
+    return Publications(*map(list, zip(*rows)))
+
+
+def parse_publications(lines: Iterable[str]) -> Publications:
+    """Parse publication rows, validating eagerly with 1-based line numbers.
+
+    `lines` is a text file or any iterable of lines. The header must be
+    exactly ``paper_id,field_id,year,mentions``. A wrong column count, a
+    non-integer year or mention count, or a row that breaks a
+    `PublicationRecord` rule raises `InputDataError` naming the first
+    offending line; within a line, the first two come before the rules.
+    Duplicate assignments are found by `build_profiles`. A file that the
+    csv module would read as a plain split is split in one pass.
+    """
+    start = time.perf_counter()
+    text = lines.read() if hasattr(lines, "read") else None
+    table = "not a file" if text is None else _plain_publications(text)
+    reader = "fast" if isinstance(table, Publications) else f"csv ({table})"
+    if not isinstance(table, Publications):
+        table = _csv_publications(lines if text is None else io.StringIO(text, newline=""))
+    logger.info(
+        "report.parse_publications %.3f s, %d rows, reader %s",
+        time.perf_counter() - start, len(table), reader,
+    )
+    return table
 
 
 def parse_membership(lines: Iterable[str]) -> list[tuple[str, str]]:
@@ -109,26 +174,9 @@ def parse_membership(lines: Iterable[str]) -> list[tuple[str, str]]:
     allowed (logged as a warning): the report then contains only the world
     row. Duplicate pairs are kept here and collapsed during aggregation.
     """
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputDataError("membership input is empty") from None
-    if header != MEMBERSHIP_HEADER:
-        raise InputDataError(
-            f"membership header must be {','.join(MEMBERSHIP_HEADER)!r}, "
-            f"got {','.join(header)!r}"
-        )
+    start = time.perf_counter()
     pairs: list[tuple[str, str]] = []
-    for row in reader:
-        line = reader.line_num
-        if not row:
-            continue
-        if len(row) != 2:
-            raise InputDataError(
-                f"line {line}: expected 2 fields, got {len(row)}"
-            )
-        paper_id, group_id = row
+    for line, (paper_id, group_id) in _csv_rows(lines, MEMBERSHIP_HEADER, "membership"):
         if not paper_id:
             raise InputDataError(f"line {line}: empty paper_id")
         if not group_id:
@@ -136,6 +184,10 @@ def parse_membership(lines: Iterable[str]) -> list[tuple[str, str]]:
         pairs.append((paper_id, group_id))
     if not pairs:
         logger.warning("membership input has no data rows; only the world row will be reported")
+    logger.info(
+        "report.parse_membership %.3f s, %d rows, reader csv",
+        time.perf_counter() - start, len(pairs),
+    )
     return pairs
 
 
@@ -305,7 +357,7 @@ def run_report(config: ReportConfig) -> dict:
     """
     try:
         with open(config.publications, newline="", encoding="utf-8-sig") as fh:
-            records = parse_publications(fh)
+            table = parse_publications(fh)
     except OSError as exc:
         raise InputDataError(f"cannot read publications: {exc}") from exc
     try:
@@ -316,17 +368,17 @@ def run_report(config: ReportConfig) -> dict:
 
     notes: list[str] = []
     if config.collapse_years:
-        base_year = min(r.year for r in records)
-        n_years = len({r.year for r in records})
-        records = [r._replace(year=base_year) for r in records]
-        if n_years > 1:
+        years = np.unique(table.year)
+        table = copy.copy(table)
+        table.year = np.full_like(table.year, years[0])
+        if len(years) > 1:
             notes.append(
-                f"collapsed {n_years} publication years into a single "
+                f"collapsed {len(years)} publication years into a single "
                 "stratum per field"
             )
 
-    duplicate_pairs = len(pairs) - len(set(pairs))
-    world, groups = build_profiles(records, pairs)
+    profiles = build_profiles(table, pairs)
+    world, groups = profiles
 
     filter_config = FilterConfig(
         min_stratum_papers=config.min_stratum_papers,
@@ -380,12 +432,12 @@ def run_report(config: ReportConfig) -> dict:
                 "collapse_years": config.collapse_years,
             },
             "publications": {
-                "assignments": len(records),
-                "papers": len({r.paper_id for r in records}),
+                "assignments": len(table),
+                "papers": profiles.papers,
             },
             "membership": {
-                "pairs": len(set(pairs)),
-                "duplicates_collapsed": duplicate_pairs,
+                "pairs": profiles.pairs,
+                "duplicates_collapsed": len(pairs) - profiles.pairs,
                 "groups": sorted(groups),
             },
             "filters": {

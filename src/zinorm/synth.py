@@ -25,9 +25,9 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat, starmap
+from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,11 +50,14 @@ from .profiles import (
     CountProfile,
     FilterConfig,
     PublicationRecord,
+    Publications,
     StratumKey,
     apply_filters,
     build_profiles,
     group_correction,
     world_correction,
+    year_error,
+    years_outside,
 )
 from .report import build_comparisons, compute_rows, result_payload
 
@@ -140,6 +143,8 @@ class StratumSpec:
     mention_probability: float
 
     def __post_init__(self) -> None:
+        if years_outside(self.key.year):
+            raise InputDataError(f"stratum {self.key}: {year_error(self.key.year)}")
         if self.world_size < 1:
             raise InputDataError(
                 f"stratum {self.key}: world_size must be at least 1"
@@ -266,7 +271,7 @@ class WorldSpec:
 
 def generate_synthetic(
     spec: WorldSpec, *, seed: int | None = None
-) -> tuple[list[PublicationRecord], list[tuple[str, str]]]:
+) -> tuple[Publications, list[tuple[str, str]]]:
     """Draw one synthetic world; identical seeds give identical output.
 
     Per paper, mentioned-or-not comes from a Bernoulli draw at the group's
@@ -277,9 +282,13 @@ def generate_synthetic(
     """
     master = spec.seed if seed is None else seed
     rng = np.random.default_rng(master)
-    records: list[PublicationRecord] = []
+    paper_ids: list[str] = []
+    field_ids: list[str] = []
+    years: list[int] = []
+    mentions: list[np.ndarray] = []
     pairs: list[tuple[str, str]] = []
     background, groups = spec.background_sizes(), spec.groups
+    numbers = [f"{j:05d}" for j in range(max(s.world_size for s in spec.strata))]
     for i, stratum in enumerate(spec.strata):
         (field_id, year), p = stratum.key, stratum.mention_probability
         draws = [(g.label, g.sizes[i], group_probability(p, g.theta)) for g in groups]
@@ -287,33 +296,35 @@ def generate_synthetic(
             if size == 0:
                 continue
             hits = rng.binomial(1, q, size=size)
-            mentions = (hits * (1 + rng.poisson(1.0, size=size))).tolist()
-            ids = [f"{label}:{field_id}:{year}:{j:05d}" for j in range(size)]
-            rows = zip(ids, repeat(field_id), repeat(year), mentions)
-            records.extend(starmap(PublicationRecord, rows))
+            mentions.append(hits * (1 + rng.poisson(1.0, size=size)))
+            ids = list(map(f"{label}:{field_id}:{year}:".__add__, numbers[:size]))
+            paper_ids += ids
+            field_ids += repeat(field_id, size)
+            years += repeat(year, size)
             if label != "bg":
-                pairs.extend(zip(ids, repeat(label)))
-    return records, pairs
+                pairs += zip(ids, repeat(label))
+    return Publications(paper_ids, field_ids, years, np.concatenate(mentions)), pairs
 
 
 def write_synthetic(
-    records: Sequence[PublicationRecord],
+    records: Iterable[PublicationRecord],
     pairs: Sequence[tuple[str, str]],
     out_dir: Path | str,
 ) -> tuple[Path, Path]:
-    """Write publications.csv and membership.csv in the ingestion format."""
+    """Write publications.csv and membership.csv in the ingestion format.
+
+    `records` is a `Publications` table or any iterable of records.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pub_path = out / "publications.csv"
     mem_path = out / "membership.csv"
     with open(pub_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("paper_id,field_id,year,mentions\n")
-        for rec in records:
-            fh.write(f"{rec.paper_id},{rec.field_id},{rec.year},{rec.mentions}\n")
+        fh.writelines(map("%s,%s,%s,%s\n".__mod__, records))
     with open(mem_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("paper_id,group_id\n")
-        for paper_id, group_id in pairs:
-            fh.write(f"{paper_id},{group_id}\n")
+        fh.writelines(map("%s,%s\n".__mod__, pairs))
     return pub_path, mem_path
 
 

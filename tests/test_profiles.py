@@ -37,6 +37,10 @@ class TestStratumKey:
         with pytest.raises(InputDataError):
             StratumKey("", 2010)
 
+    def test_replace_keeps_empty_field_check(self):
+        with pytest.raises(InputDataError, match="non-empty"):
+            k("bio", 2010)._replace(field_id="")
+
 
 class TestCellCounts:
     def test_totals_and_proportion(self):
@@ -105,6 +109,16 @@ class TestBuildProfiles:
     def test_year_out_of_range_rejected(self):
         with pytest.raises(InputDataError, match="outside"):
             build_profiles([rec("p1", "bio", year=1850)], [])
+
+    def test_one_shot_iterator_accepted(self):
+        records = [rec("p1", "bio", mentions=0), rec("p2", "chem"), rec("p1", "chem")]
+        pairs = [("p1", "g")]
+        assert build_profiles(iter(records), pairs) == build_profiles(records, pairs)
+
+    def test_counts_distinct_papers_and_pairs(self):
+        records = [rec("p1", "bio"), rec("p1", "chem"), rec("p2", "bio")]
+        profiles = build_profiles(records, [("p1", "g"), ("p2", "g"), ("p1", "g")])
+        assert (profiles.papers, profiles.pairs) == (2, 2)
 
     def test_unchecked_tuple_rejected(self):
         # A plain tuple has not passed the record's row rules, so it is

@@ -1,5 +1,7 @@
 """Invariant checks that hold for whole families of inputs."""
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -11,6 +13,7 @@ from zinorm import (
     DegenerateComputationError,
     FilterConfig,
     IndicatorKind,
+    InputDataError,
     PublicationRecord,
     StratumKey,
     apply_filters,
@@ -20,8 +23,10 @@ from zinorm import (
     ffa_group,
     mhq,
     mnpc,
+    parse_publications,
 )
 from zinorm.indicators import IndicatorResult
+from zinorm.report import _csv_publications, _plain_publications
 
 settings.register_profile(
     "zinorm",
@@ -348,3 +353,60 @@ class TestFfaProperties:
         grouped = ffa_group(scores)
         assert grouped.ffa == pytest.approx(sum(scores) / len(scores))
         assert str(grouped.label) == ("Q1" if grouped.ffa <= 1.0 else "Q2")
+
+
+#: Field values that the csv module and a plain split may read differently,
+#: or that break a row rule.
+ODD_FIELDS = [
+    "", " 7", "+7", "7_0", "-1", "٣", '"7"', '"p,1"', "1850", "2101",
+    "9999999999999999999", "99999999999999999999", "20x0", "007", "é", "p\x00", "p\u2028",
+]
+
+
+@st.composite
+def publication_texts(draw):
+    """Mostly well-formed publications files, with a few odd fields and lines."""
+    rows = [
+        [
+            draw(st.sampled_from(["p1", "p2", "p3", "ü4"])),
+            draw(st.sampled_from(["bio", "chem"])),
+            str(draw(st.integers(1899, 2101))),
+            str(draw(st.integers(0, 12))),
+        ]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, 3))] = draw(st.sampled_from(ODD_FIELDS))
+    if rows and draw(st.integers(0, 5)) == 0:
+        row = draw(st.sampled_from(rows))
+        row.append("x") if draw(st.booleans()) else row.pop()
+    lines = ["paper_id,field_id,year,mentions", *map(",".join, rows)]
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = "\r\n" if draw(st.integers(0, 5)) == 0 else "\n"
+    text = newline.join(lines) + ("" if draw(st.integers(0, 3)) == 0 else newline)
+    return ("\ufeff" if draw(st.integers(0, 7)) == 0 else "") + text
+
+
+def parse_outcome(read, source):
+    """The table `read` gives as records and lines, or its error text."""
+    try:
+        table = read(source)
+    except InputDataError as exc:
+        return str(exc)
+    if isinstance(table, str):
+        return ("declined", table)
+    return list(table), list(table.line)
+
+
+class TestParsePaths:
+    @given(publication_texts())
+    @settings(max_examples=400)
+    def test_fast_and_csv_paths_agree(self, text):
+        csv_outcome = parse_outcome(_csv_publications, io.StringIO(text, newline=""))
+        fast_outcome = parse_outcome(_plain_publications, text)
+        if fast_outcome[0] == "declined":
+            # A declined text goes to the csv path whole.
+            fast_outcome = parse_outcome(parse_publications, io.StringIO(text, newline=""))
+        assert fast_outcome == csv_outcome

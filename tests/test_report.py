@@ -1,5 +1,7 @@
+import io
 import json
 import logging
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -134,6 +136,45 @@ class TestParsePublications:
         lines = ["paper_id,field_id,year,mentions", ",bio,20x0,1"]
         with pytest.raises(InputDataError, match="^line 2: year '20x0' is not"):
             parse_publications(lines)
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    def test_earlier_rule_error_beats_later_syntax_error(self, as_file):
+        rows = ["p1,bio,1850,1"] + [f"p{i},bio,2010,0" for i in range(2, 8)]
+        lines = ["paper_id,field_id,year,mentions", *rows, "p9,bio,20x0,1"]
+        source = io.StringIO("\n".join(lines) + "\n") if as_file else lines
+        with pytest.raises(InputDataError) as error:
+            parse_publications(source)
+        assert str(error.value) == "line 2: year 1850 outside [1900, 2100]"
+
+    @pytest.mark.parametrize("as_file", [False, True])
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["p1,bio,2010,9999999999999999999", "p2,bio,2010,-1"], "line 3: negative mention count -1"),
+            (["p1,bio,9999999999999999999,0", "p2,bio,-1,0"], "line 2: year 9999999999999999999 outside [1900, 2100]"),
+        ],
+    )
+    def test_rule_error_names_values_beyond_int64_as_integers(self, rows, message, as_file):
+        # Python ints above 2**63 and below 0 have no common numpy integer dtype.
+        lines = ["paper_id,field_id,year,mentions", *rows]
+        source = io.StringIO("\n".join(lines) + "\n") if as_file else lines
+        with pytest.raises(InputDataError) as error:
+            parse_publications(source)
+        assert str(error.value) == message
+
+    def test_table_equals_list_of_records(self):
+        lines = ["paper_id,field_id,year,mentions", "p1,bio,2010,1", "p2,chem,2011,0"]
+        records = [PublicationRecord("p1", "bio", 2010, 1), PublicationRecord("p2", "chem", 2011, 0)]
+        assert parse_publications(lines) == records
+        assert parse_publications(lines) != records[:1]
+
+    def test_file_and_lines_give_the_same_table(self):
+        text = PUBLICATIONS_CSV.read_text(encoding="utf-8")
+        from_file = parse_publications(io.StringIO(text))
+        from_lines = parse_publications(text.splitlines())
+        assert from_file == from_lines
+        assert list(from_file.line) == list(from_lines.line)
+        assert list(from_file) == [PublicationRecord(*row) for row in from_lines]
 
     def test_blank_lines_skipped(self):
         lines = ["paper_id,field_id,year,mentions", "", "p1,bio,2010,1", ""]
@@ -463,6 +504,55 @@ class TestCli:
     def test_no_subcommand_exits_2(self):
         result = run_cli()
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("command", ["coverage", "synth"])
+    def test_spec_year_outside_range_exits_2_naming_stratum(self, tmp_path, command):
+        spec = tmp_path / "spec.json"
+        stratum = {"field_id": "f0", "year": 1850, "world_size": 10, "mention_probability": 0.2}
+        spec.write_text(json.dumps({"seed": 1, "strata": [stratum], "groups": []}))
+        extra = ["--reps", "100"] if command == "coverage" else ["--out", str(tmp_path / "out")]
+        result = run_cli(command, "--spec", str(spec), *extra)
+        assert result.returncode == 2
+        assert result.stderr == "ERROR: stratum f0/1850: year 1850 outside [1900, 2100]\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_info_log_has_ingest_stage_lines(self, tmp_path):
+        crlf = tmp_path / "publications.csv"
+        crlf.write_bytes(PUBLICATIONS_CSV.read_bytes().replace(b"\n", b"\r\n"))
+        for publications, reader in [
+            (PUBLICATIONS_CSV, "fast"),
+            (crlf, "csv (quote or carriage return)"),
+        ]:
+            args = (
+                "compute",
+                "--publications", str(publications),
+                "--membership", str(MEMBERSHIP_CSV),
+                "--indicators", "emnpc,mhq",
+                "--format", "json",
+            )
+            quiet = run_cli(*args)
+            logged = run_cli(*args, env_extra={"ZINORM_LOG": "info"})
+            out = tmp_path / "report.json"
+            logged_to_file = run_cli(
+                *args, "--output", str(out), env_extra={"ZINORM_LOG": "info"}
+            )
+            assert quiet.returncode == logged.returncode == 0, logged.stderr
+            assert logged_to_file.returncode == 0, logged_to_file.stderr
+            assert logged.stdout == quiet.stdout
+            assert (logged_to_file.stdout, out.read_text(encoding="utf-8")) == ("", quiet.stdout)
+            stages = [
+                line.split(": ", 1)[1]
+                for line in logged.stderr.splitlines()
+                if line.startswith("INFO ")
+            ]
+            assert [stage.split()[0] for stage in stages] == [
+                "report.parse_publications",
+                "report.parse_membership",
+                "profiles.build_profiles",
+            ]
+            assert re.fullmatch(rf"\S+ \d+\.\d{{3}} s, 158 rows, reader {re.escape(reader)}", stages[0])
+            assert re.fullmatch(r"\S+ \d+\.\d{3} s, \d+ rows, reader csv", stages[1])
+            assert re.fullmatch(r"\S+ \d+\.\d{3} s, 158 rows in, \d+ strata out", stages[2])
 
     def test_log_env_var(self):
         result = run_cli(

@@ -224,11 +224,12 @@ class TestGenerateSynthetic:
         assert all(r.is_mentioned == (r.mentions > 0) for r in records)
 
     def test_year_outside_range_rejected(self):
-        # The records check their own rules, so no unreadable CSV is drawn.
-        stratum = StratumSpec(StratumKey("f0", 1850), 10, 0.2)
-        spec = WorldSpec(seed=1, strata=(stratum,), groups=())
-        with pytest.raises(InputDataError, match=r"^year 1850 outside \[1900, 2100\]$"):
-            generate_synthetic(spec)
+        # The spec checks the year rule of the records, naming the stratum,
+        # so no unreadable CSV is drawn.
+        with pytest.raises(
+            InputDataError, match=r"^stratum f0/1850: year 1850 outside \[1900, 2100\]$"
+        ):
+            StratumSpec(StratumKey("f0", 1850), 10, 0.2)
 
     def test_roundtrip_through_csv(self, tmp_path):
         spec = make_spec(seed=123)

@@ -105,25 +105,31 @@ def _plain_publications(text: str) -> Publications | str:
 
 
 def _csv_rows(lines: Iterable[str], header: list[str], what: str) -> Iterator:
-    """The line and fields of each non-blank row after `header`, read by the csv module."""
+    """The line and fields of each non-blank row after `header`, read by the csv module.
+
+    A row the csv module cannot read (a field longer than
+    `csv.field_size_limit()`, say) raises `InputDataError` naming its line.
+    """
     reader = csv.reader(lines)
     try:
-        first = next(reader)
-    except StopIteration:
-        raise InputDataError(f"{what} input is empty") from None
-    if first != header:
-        raise InputDataError(
-            f"{what} header must be {','.join(header)!r}, got {','.join(first)!r}"
-        )
-    width = len(header)
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                continue
+        first = next(reader, None)
+        if first is None:
+            raise InputDataError(f"{what} input is empty")
+        if first != header:
             raise InputDataError(
-                f"line {reader.line_num}: expected {width} fields, got {len(row)}"
+                f"{what} header must be {','.join(header)!r}, got {','.join(first)!r}"
             )
-        yield reader.line_num, row
+        width = len(header)
+        for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                raise InputDataError(
+                    f"line {reader.line_num}: expected {width} fields, got {len(row)}"
+                )
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise InputDataError(f"line {reader.line_num}: {exc}") from None
 
 
 def _csv_publications(lines: Iterable[str]) -> Publications:

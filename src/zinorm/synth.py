@@ -23,8 +23,12 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -67,6 +71,11 @@ logger = logging.getLogger(__name__)
 RESERVED_LABELS = (WORLD_LABEL, "bg")
 
 _VALIDITY_KINDS = (IndicatorKind.EMNPC, IndicatorKind.MNPC, IndicatorKind.MHQ)
+
+#: Replications drawn and evaluated together by `coverage_experiment`. On a
+#: 2000-stratum spec with 2 CPUs, wall time was flat from 100 to 400, and
+#: peak memory grows by about 0.6 MiB per replication of block size.
+_BLOCK = 200
 
 
 class QualityLabel(Enum):
@@ -388,9 +397,13 @@ def true_indicator_values(
 
 
 def _replication_draws(
-    spec: WorldSpec, replications: int
+    spec: WorldSpec, reps: range
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Mentioned-count draws: per-group (G, reps, strata) and world (reps, strata)."""
+    """Mentioned-count draws: per-group (G, len(reps), strata) and world (len(reps), strata).
+
+    Row k holds replication ``reps[k]``, drawn from its own generator, so
+    any block of replications gives the same rows as a larger run.
+    """
     n_strata = len(spec.strata)
     n_groups = len(spec.groups)
     sizes = np.array(
@@ -402,32 +415,32 @@ def _replication_draws(
     background = np.array(spec.background_sizes(), dtype=np.int64)
     base_p = np.array([s.mention_probability for s in spec.strata])
 
-    group_draws = np.empty((n_groups, replications, n_strata))
-    world_draws = np.empty((replications, n_strata))
-    for i in range(replications):
+    group_draws = np.empty((n_groups, len(reps), n_strata))
+    world_draws = np.empty((len(reps), n_strata))
+    for row, i in enumerate(reps):
         rng = np.random.default_rng(
             np.random.SeedSequence(spec.seed, spawn_key=(i,))
         )
         total = np.zeros(n_strata)
         for g in range(n_groups):
             draws = rng.binomial(sizes[g], probs[g])
-            group_draws[g, i] = draws
+            group_draws[g, row] = draws
             total += draws
-        world_draws[i] = total + rng.binomial(background, base_p)
+        world_draws[row] = total + rng.binomial(background, base_p)
     return group_draws, world_draws
 
 
 def _replication_estimates(
-    spec: WorldSpec, replications: int
+    spec: WorldSpec, reps: range
 ) -> Iterator[tuple[str, dict[IndicatorKind, Estimate]]]:
-    """EMNPC, MNPC and MHq of every replication, one group at a time.
+    """EMNPC, MNPC and MHq of the replications `reps`, one group at a time.
 
-    Yields each group with papers and its (replications,) estimates: EMNPC
+    Yields each group with papers and its (len(reps),) estimates: EMNPC
     and MHq on the raw draws, MNPC on draws corrected by the rule that
     `continuity_correct` applies to profiles, as the report pipeline
     computes them.
     """
-    group_draws, world_draws = _replication_draws(spec, replications)
+    group_draws, world_draws = _replication_draws(spec, reps)
     n = np.array([s.world_size for s in spec.strata], dtype=np.float64)
     present = (np.array([g.sizes for g in spec.groups]) > 0).sum(axis=0)
     for g, group in enumerate(spec.groups):
@@ -456,6 +469,22 @@ def _replication_estimates(
         }
 
 
+def _block_counts(
+    spec: WorldSpec, truths: dict[str, dict[str, float]], reps: range
+) -> dict[tuple[str, str], np.ndarray]:
+    """Covered, used and degenerate counts of `reps` per group and indicator."""
+    counts = {}
+    for label, estimates in _replication_estimates(spec, reps):
+        for kind, (_, lower, upper, degenerate, _) in estimates.items():
+            truth = truths[label][str(kind)]
+            usable = ~degenerate
+            covered = ((lower[usable] <= truth) & (truth <= upper[usable])).sum()
+            counts[label, str(kind)] = np.array(
+                [covered, usable.sum(), degenerate.sum()], dtype=np.int64
+            )
+    return counts
+
+
 def coverage_experiment(
     spec: WorldSpec, replications: int, nominal: float = 0.95
 ) -> dict:
@@ -469,6 +498,11 @@ def coverage_experiment(
     refuses) are excluded from that indicator's coverage and reported in
     the ``degenerate`` count. MNPC runs on continuity-corrected draws,
     EMNPC and MHq on raw draws, matching the reporting pipeline.
+
+    Replications are drawn and evaluated in blocks of `_BLOCK`, on at most
+    one thread per CPU, and only the blocks' counts are summed. Replication
+    i always draws from spawn key i, so the result depends on neither the
+    block size nor the thread count.
 
     Only the 0.95 nominal level is supported; the interval constructions
     fix the matching normal quantile.
@@ -484,26 +518,32 @@ def coverage_experiment(
     if not spec.groups:
         raise InputDataError("coverage requires at least one group")
 
+    start = time.perf_counter()
     truths = true_indicator_values(spec, _VALIDITY_KINDS)
+    blocks = [
+        range(first, min(first + _BLOCK, replications))
+        for first in range(0, replications, _BLOCK)
+    ]
+    threads = min(os.cpu_count() or 1, len(blocks))
+    totals: dict[tuple[str, str], np.ndarray] = {}
+    with ThreadPoolExecutor(threads) as pool:
+        for counts in pool.map(partial(_block_counts, spec, truths), blocks):
+            for key, value in counts.items():
+                totals[key] = totals.get(key, 0) + value
     out_groups: dict[str, dict] = {}
-    for label, estimates in _replication_estimates(spec, replications):
-        cells = {}
-        for kind, (_, lower, upper, degenerate, _) in estimates.items():
-            truth = truths[label][str(kind)]
-            usable = ~degenerate
-            covered = int(
-                ((lower[usable] <= truth) & (truth <= upper[usable])).sum()
-            )
-            used = int(usable.sum())
-            cells[str(kind)] = {
-                "truth": truth,
-                "coverage": covered / used if used else float("nan"),
-                "covered": covered,
-                "used": used,
-                "degenerate": int(degenerate.sum()),
-            }
-        out_groups[label] = cells
-
+    for (label, kind), counts in totals.items():
+        covered, used, degenerate = map(int, counts)
+        out_groups.setdefault(label, {})[kind] = {
+            "truth": truths[label][kind],
+            "coverage": covered / used if used else float("nan"),
+            "covered": covered,
+            "used": used,
+            "degenerate": degenerate,
+        }
+    logger.info(
+        "synth.coverage_experiment %.3f s, %d replications, %d blocks, %d threads",
+        time.perf_counter() - start, replications, len(blocks), threads,
+    )
     return {
         "nominal": nominal,
         "replications": replications,

@@ -1,6 +1,7 @@
 import io
 import json
 import logging
+import os
 import re
 import subprocess
 import sys
@@ -24,7 +25,7 @@ from zinorm import (
 from zinorm.report import result_payload
 from zinorm.indicators import IndicatorResult
 
-from conftest import MEMBERSHIP_CSV, PUBLICATIONS_CSV
+from conftest import COVERAGE_SPEC, MEMBERSHIP_CSV, PUBLICATIONS_CSV
 
 ALL_KINDS = tuple(IndicatorKind)
 
@@ -369,8 +370,6 @@ class TestRenderers:
 
 
 def run_cli(*args, env_extra=None):
-    import os
-
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
@@ -501,6 +500,31 @@ class TestCli:
         rows = ["p1,bio,2010,1\n", "p2,bio,2010,0\n", "p1,bio,2011,0\n"]
         self._compute_exit_2(tmp_path, rows, "--collapse-years")
 
+    @pytest.mark.parametrize("which", ["publications", "membership"])
+    def test_field_over_csv_size_limit_exits_2(self, tmp_path, which):
+        # The quote sends publications through the csv module, which reads
+        # membership always.
+        long_id = "p" * 140_000
+        pubs, members = tmp_path / "publications.csv", tmp_path / "membership.csv"
+        pubs.write_text(
+            'paper_id,field_id,year,mentions\n"p1",bio,2010,1\n'
+            + (f"{long_id},bio,2010,0\n" if which == "publications" else "")
+        )
+        members.write_text(
+            "paper_id,group_id\np1,g\n"
+            + (f"{long_id},g\n" if which == "membership" else "")
+        )
+        result = run_cli(
+            "compute",
+            "--publications", str(pubs),
+            "--membership", str(members),
+            "--indicators", "mhq",
+        )
+        assert result.returncode == 2
+        assert result.stderr == (
+            "ERROR: line 3: field larger than field limit (131072)\n"
+        )
+
     def test_no_subcommand_exits_2(self):
         result = run_cli()
         assert result.returncode == 2
@@ -553,6 +577,19 @@ class TestCli:
             assert re.fullmatch(rf"\S+ \d+\.\d{{3}} s, 158 rows, reader {re.escape(reader)}", stages[0])
             assert re.fullmatch(r"\S+ \d+\.\d{3} s, \d+ rows, reader csv", stages[1])
             assert re.fullmatch(r"\S+ \d+\.\d{3} s, 158 rows in, \d+ strata out", stages[2])
+
+    def test_info_log_has_coverage_stage_line(self):
+        args = ("coverage", "--spec", str(COVERAGE_SPEC), "--reps", "300")
+        quiet = run_cli(*args)
+        logged = run_cli(*args, env_extra={"ZINORM_LOG": "info"})
+        assert quiet.returncode == logged.returncode == 0, logged.stderr
+        assert logged.stdout == quiet.stdout
+        threads = min(os.cpu_count() or 1, 2)
+        assert re.fullmatch(
+            r"INFO zinorm\.synth: synth\.coverage_experiment \d+\.\d{3} s, "
+            rf"300 replications, 2 blocks, {threads} threads\n",
+            logged.stderr,
+        )
 
     def test_log_env_var(self):
         result = run_cli(

@@ -1,4 +1,6 @@
 import json
+import logging
+import os
 
 import numpy as np
 import pytest
@@ -31,7 +33,13 @@ from zinorm.profiles import (
     build_profiles,
     continuity_correct,
 )
-from zinorm.synth import _replication_draws, _replication_estimates
+from zinorm.synth import (
+    _BLOCK,
+    _block_counts,
+    _VALIDITY_KINDS,
+    _replication_draws,
+    _replication_estimates,
+)
 
 from conftest import COVERAGE_SPEC
 
@@ -360,6 +368,51 @@ class TestCoverageExperiment:
         assert mhq["degenerate"] == 0
         assert 0.90 <= mhq["coverage"] <= 0.99
 
+    def test_blocks_and_threads_do_not_change_the_result(self, monkeypatch, caplog):
+        # One replication more than a block leaves a one-replication last block.
+        spec = WorldSpec.from_json(COVERAGE_SPEC)
+        reps = _BLOCK + 1
+        truths = true_indicator_values(spec, _VALIDITY_KINDS)
+        expected = {
+            key: tuple(counts)
+            for key, counts in _block_counts(spec, truths, range(reps)).items()
+        }
+        results = []
+        for cpus in (os.cpu_count(), 1):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            with caplog.at_level(logging.INFO, logger="zinorm.synth"):
+                results.append(coverage_experiment(spec, reps))
+            threads = min(cpus or 1, 2)
+            assert caplog.messages[-1].endswith(
+                f"{reps} replications, 2 blocks, {threads} threads"
+            )
+        threaded, single = results
+        assert threaded == single
+        got = {
+            (label, kind): (row["covered"], row["used"], row["degenerate"])
+            for label, cells in threaded["groups"].items()
+            for kind, row in cells.items()
+        }
+        assert got == expected
+
+    def test_mnpc_over_covers_with_wide_intervals(self):
+        # MNPC's interval adds its arms linearly: on the fixture spec it
+        # always covers, at more than twice MHq's mean log-width.
+        spec, reps = WorldSpec.from_json(COVERAGE_SPEC), 2000
+        out = coverage_experiment(spec, reps)
+        assert set(out["groups"]) == {"gLow", "gMid", "gHigh"}
+        for cells in out["groups"].values():
+            assert cells["mnpc"]["coverage"] >= 0.995
+        for label, estimates in _replication_estimates(spec, range(reps)):
+            width = {}
+            for kind in (IndicatorKind.MNPC, IndicatorKind.MHQ):
+                estimate = estimates[kind]
+                usable = ~estimate.degenerate
+                width[kind] = np.log(
+                    estimate.upper[usable] / estimate.lower[usable]
+                ).mean()
+            assert width[IndicatorKind.MNPC] > 2 * width[IndicatorKind.MHQ], label
+
 
 def _replication_profiles(spec, group_draws, world_draws, i):
     """Replication i's world and group profiles, as build_profiles would give."""
@@ -442,8 +495,8 @@ def test_coverage_rows_match_scalar_indicators(spec, any_degenerate, mnpc_used):
     # that replication's profiles: EMNPC and MHq raw, MNPC corrected; a
     # replication the report refuses is degenerate in coverage.
     reps = 150
-    group_draws, world_draws = _replication_draws(spec, reps)
-    estimates = dict(_replication_estimates(spec, reps))
+    group_draws, world_draws = _replication_draws(spec, range(reps))
+    estimates = dict(_replication_estimates(spec, range(reps)))
     assert set(estimates) == {g.label for g in spec.groups}
     degenerate_seen = 0
     for i in range(reps):
@@ -536,11 +589,13 @@ class TestConvergentValidity:
 
 
 def test_replication_seeding_is_stable_under_rep_count():
-    # replication i must not depend on how many replications follow it
-    from zinorm.synth import _replication_draws
-
+    # replication i must not depend on how many replications run, nor on
+    # where the block that holds it starts
     spec = make_spec(seed=2024, world=100, group=10, p=0.1)
-    few_groups, few_world = _replication_draws(spec, 50)
-    many_groups, many_world = _replication_draws(spec, 120)
+    few_groups, few_world = _replication_draws(spec, range(50))
+    many_groups, many_world = _replication_draws(spec, range(120))
     np.testing.assert_array_equal(few_groups, many_groups[:, :50, :])
     np.testing.assert_array_equal(few_world, many_world[:50, :])
+    block_groups, block_world = _replication_draws(spec, range(37, 120))
+    np.testing.assert_array_equal(block_groups, many_groups[:, 37:, :])
+    np.testing.assert_array_equal(block_world, many_world[37:, :])

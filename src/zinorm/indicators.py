@@ -77,10 +77,6 @@ class IndicatorResult:
                 f"{self.kind} computed from no strata"
             )
 
-    @property
-    def percent_vs_world(self) -> float:
-        return percent_vs_world(self.value)
-
 
 def percent_vs_world(value: float) -> float:
     """Express a ratio indicator as a percentage difference from the world."""
@@ -89,16 +85,6 @@ def percent_vs_world(value: float) -> float:
             f"cannot express {value!r} as a percentage of the world baseline"
         )
     return 100.0 * (value - 1.0)
-
-
-def pooled_proportion(profile: CountProfile) -> float:
-    """Mentioned share of all papers in the profile, pooled across strata."""
-    total = profile.total_papers
-    if total == 0:
-        raise DegenerateComputationError(
-            f"profile {profile.label!r} has no papers"
-        )
-    return profile.total_mentioned / total
 
 
 def _mentioned_and_total(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,19 +98,6 @@ def _mentioned_and_total(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _equalized(mentioned: np.ndarray, total: np.ndarray) -> np.ndarray:
     return (mentioned / total).mean(axis=-1)
-
-
-def equalized_proportion(profile: CountProfile) -> float:
-    """Unweighted mean of per-stratum mentioned proportions.
-
-    Each stratum counts equally regardless of size, so large strata cannot
-    dominate the average.
-    """
-    if len(profile) == 0:
-        raise DegenerateComputationError(
-            f"profile {profile.label!r} has no strata"
-        )
-    return float(_equalized(*_mentioned_and_total(profile.counts)))
 
 
 class Estimate(NamedTuple):
@@ -273,18 +246,12 @@ def _cell_arrays(
     return keys, a, b, c, d
 
 
-def emnpc(
-    group: CountProfile,
-    world: CountProfile,
-    *,
-    world_strata: str = "all",
-) -> IndicatorResult:
+def emnpc(group: CountProfile, world: CountProfile) -> IndicatorResult:
     """Equalized mean normalized proportion cited/mentioned.
 
     The group's stratum-equalized mentioned proportion divided by the
-    world's. The world average runs over all world strata by default;
-    pass ``world_strata="group"`` to average only over the strata where
-    the group publishes.
+    world's. The world average always runs over all world strata, also
+    those where the group has no papers.
 
     Raises
     ------
@@ -292,16 +259,9 @@ def emnpc(
         If either equalized proportion is zero (the log-scale interval
         is undefined); continuity-correct the profiles first.
     """
-    if world_strata not in ("all", "group"):
-        raise InputDataError(
-            f"world_strata must be 'all' or 'group', got {world_strata!r}"
-        )
-    rows = _group_rows(group, world)
-
+    _group_rows(group, world)  # the group's strata must be in the world
     group_counts = _mentioned_and_total(group.counts)
-    world_counts = _mentioned_and_total(
-        world.counts if world_strata == "all" else world.counts[rows]
-    )
+    world_counts = _mentioned_and_total(world.counts)
     estimate = emnpc_arrays(*group_counts, *world_counts)
     if estimate.degenerate:
         p_g = _equalized(*group_counts)
@@ -315,8 +275,6 @@ def emnpc(
         "interval width combines stratum-equalized proportions with pooled "
         "paper totals"
     ]
-    if world_strata == "group":
-        notes.append("world baseline averaged over the group's strata only")
     return _result(IndicatorKind.EMNPC, estimate, notes)
 
 

@@ -80,19 +80,6 @@ class CellCounts:
         if self.mentioned < 0 or self.not_mentioned < 0:
             raise InputDataError("cell counts must be non-negative")
 
-    @property
-    def total(self) -> float:
-        return self.mentioned + self.not_mentioned
-
-    @property
-    def proportion_mentioned(self) -> float:
-        if self.total == 0:
-            raise DegenerateComputationError("stratum has no papers")
-        return self.mentioned / self.total
-
-    def add(self, mentioned: float, not_mentioned: float) -> "CellCounts":
-        return CellCounts(self.mentioned + mentioned, self.not_mentioned + not_mentioned)
-
 
 class PublicationRecord(
     NamedTuple(
@@ -116,10 +103,6 @@ class PublicationRecord(
     @classmethod
     def _make(cls, iterable: Iterable) -> "PublicationRecord":
         return cls(*iterable)
-
-    @property
-    def is_mentioned(self) -> bool:
-        return self.mentions > 0
 
 
 #: A record from a row that its table has already checked.
@@ -256,10 +239,6 @@ class CountProfile:
     @property
     def total_papers(self) -> float:
         return float(self.counts.sum())
-
-    @property
-    def total_mentioned(self) -> float:
-        return float(self.counts[:, 0].sum())
 
     def restrict(self, keep: Iterable[StratumKey]) -> "CountProfile":
         """Return a copy containing only the strata in `keep`."""

@@ -27,9 +27,8 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -50,7 +49,6 @@ from .indicators import (
 )
 from .profiles import (
     WORLD_LABEL,
-    CellCounts,
     CountProfile,
     FilterConfig,
     PublicationRecord,
@@ -76,41 +74,6 @@ _VALIDITY_KINDS = (IndicatorKind.EMNPC, IndicatorKind.MNPC, IndicatorKind.MHQ)
 #: 2000-stratum spec with 2 CPUs, wall time was flat from 100 to 400, and
 #: peak memory grows by about 0.6 MiB per replication of block size.
 _BLOCK = 200
-
-
-class QualityLabel(Enum):
-    Q0 = "Q0"
-    Q1 = "Q1"
-    Q2 = "Q2"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True)
-class QualityGroup:
-    """A paper's peer-recommendation bucket with its mean score."""
-
-    label: QualityLabel
-    ffa: float
-
-
-def ffa_group(scores: Sequence[int]) -> QualityGroup:
-    """Bucket a paper by the mean of its recommendation scores.
-
-    No scores means never recommended (Q0). A mean up to 1.0 inclusive is
-    Q1, anything above is Q2. Scores outside {1, 2, 3} are rejected.
-    """
-    for score in scores:
-        if not isinstance(score, int) or score not in (1, 2, 3):
-            raise InputDataError(
-                f"recommendation score {score!r} is not in {{1, 2, 3}}"
-            )
-    if not scores:
-        return QualityGroup(QualityLabel.Q0, 0.0)
-    ffa = sum(scores) / len(scores)
-    label = QualityLabel.Q1 if ffa <= 1.0 else QualityLabel.Q2
-    return QualityGroup(label, ffa)
 
 
 def group_probability(world_probability: float, theta: float) -> float:
@@ -143,6 +106,22 @@ def _require_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputDataError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _require_float(value: object, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InputDataError(f"{what} must be a number, got {value!r}") from None
+
+
+def _fields(what: str, entry: object, *keys: str) -> list:
+    """The values of `keys` in a spec entry; errors name the entry as `what`."""
+    if not isinstance(entry, Mapping):
+        raise InputDataError(f"{what} must be an object, got {entry!r}")
+    if missing := [key for key in keys if key not in entry]:
+        raise InputDataError(f"{what} is missing key {missing[0]!r}")
+    return [entry[key] for key in keys]
 
 
 @dataclass(frozen=True)
@@ -220,36 +199,40 @@ class WorldSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "WorldSpec":
-        try:
-            seed = _require_int(raw["seed"], "seed")
-            strata_raw = raw["strata"]
-            groups_raw = raw.get("groups", [])
-        except KeyError as exc:
-            raise InputDataError(f"spec is missing key {exc.args[0]!r}") from None
+        seed, strata_raw = _fields("spec", raw, "seed", "strata")
+        seed = _require_int(seed, "seed")
+        groups_raw = raw.get("groups", [])
+        for name, entries in (("strata", strata_raw), ("groups", groups_raw)):
+            if not isinstance(entries, list):
+                raise InputDataError(f"spec {name} must be a list, got {entries!r}")
         strata = []
-        for item in strata_raw:
+        for index, item in enumerate(strata_raw):
+            what = f"spec stratum {index}"
+            field_id, year, world_size, probability = _fields(
+                what, item, "field_id", "year", "world_size", "mention_probability"
+            )
             strata.append(
                 StratumSpec(
-                    key=StratumKey(
-                        str(item["field_id"]),
-                        _require_int(item["year"], "year"),
+                    key=StratumKey(str(field_id), _require_int(year, f"{what}: year")),
+                    world_size=_require_int(world_size, f"{what}: world_size"),
+                    mention_probability=_require_float(
+                        probability, f"{what}: mention_probability"
                     ),
-                    world_size=_require_int(item["world_size"], "world_size"),
-                    mention_probability=float(item["mention_probability"]),
                 )
             )
         groups = []
-        for item in groups_raw:
-            sizes = item["sizes"]
+        for index, item in enumerate(groups_raw):
+            what = f"spec group {index}"
+            label, sizes, theta = _fields(what, item, "label", "sizes", "theta")
             if isinstance(sizes, list):
-                sizes = tuple(_require_int(s, "group size") for s in sizes)
+                sizes = tuple(_require_int(s, f"{what}: size") for s in sizes)
             else:
-                sizes = (_require_int(sizes, "group size"),) * len(strata)
+                sizes = (_require_int(sizes, f"{what}: size"),) * len(strata)
             groups.append(
                 GroupSpec(
-                    label=str(item["label"]),
+                    label=str(label),
                     sizes=sizes,
-                    theta=float(item["theta"]),
+                    theta=_require_float(theta, f"{what}: theta"),
                 )
             )
         return cls(seed=seed, strata=tuple(strata), groups=tuple(groups))
@@ -345,31 +328,21 @@ def expected_profiles(
     World cells accumulate the group cells term by term, so the world
     dominates every group cell exactly even in floating point.
     """
-    world_cells: dict[StratumKey, CellCounts] = {}
-    group_cells: dict[str, dict[StratumKey, CellCounts]] = {
-        g.label: {} for g in spec.groups
-    }
-    background = spec.background_sizes()
-    for i, stratum in enumerate(spec.strata):
-        mentioned = background[i] * stratum.mention_probability
-        unmentioned = background[i] * (1.0 - stratum.mention_probability)
-        for group in spec.groups:
-            size = group.sizes[i]
-            if size == 0:
-                continue
-            q = group_probability(stratum.mention_probability, group.theta)
-            cell = CellCounts(size * q, size * (1.0 - q))
-            group_cells[group.label][stratum.key] = cell
-            mentioned += cell.mentioned
-            unmentioned += cell.not_mentioned
-        world_cells[stratum.key] = CellCounts(mentioned, unmentioned)
-    world = CountProfile(WORLD_LABEL, world_cells)
-    groups = {
-        label: CountProfile(label, cells)
-        for label, cells in group_cells.items()
-        if cells
-    }
-    return world, groups
+    order = sorted(range(len(spec.strata)), key=lambda i: spec.strata[i].key)
+    keys = tuple(spec.strata[i].key for i in order)
+    p = np.array([s.mention_probability for s in spec.strata])[order]
+    world = np.array(spec.background_sizes())[order, None] * np.stack([p, 1.0 - p], 1)
+    groups = {}
+    for group in spec.groups:
+        sizes = np.array(group.sizes)[order]
+        q = np.array(spec.group_probabilities(group))[order]
+        cells = sizes[:, None] * np.stack([q, 1.0 - q], 1)
+        world += cells
+        if (held := sizes > 0).any():
+            groups[group.label] = CountProfile._of(
+                group.label, tuple(compress(keys, held)), cells[held]
+            )
+    return CountProfile._of(WORLD_LABEL, keys, world), groups
 
 
 _TRUTH_FUNCTIONS = {

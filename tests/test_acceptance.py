@@ -268,7 +268,8 @@ def test_criterion_4_property_suite():
             group, world = _random_pair(rng)
             total_group = group.total_papers
             per_paper_sum = sum(
-                group[k].mentioned / world[k].proportion_mentioned
+                group[k].mentioned
+                / (world[k].mentioned / (world[k].mentioned + world[k].not_mentioned))
                 for k in group.strata()
             )
             assert mnpc(group, world).value == pytest.approx(

@@ -45,16 +45,12 @@ class TestStratumKey:
 class TestCellCounts:
     def test_totals_and_proportion(self):
         cell = CellCounts(3, 9)
-        assert cell.total == 12
-        assert cell.proportion_mentioned == 0.25
+        assert cell.mentioned + cell.not_mentioned == 12
+        assert cell.mentioned / (cell.mentioned + cell.not_mentioned) == 0.25
 
     def test_negative_rejected(self):
         with pytest.raises(InputDataError):
             CellCounts(-1, 2)
-
-    def test_empty_proportion_degenerate(self):
-        with pytest.raises(DegenerateComputationError):
-            CellCounts(0, 0).proportion_mentioned
 
 
 class TestBuildProfiles:
@@ -136,7 +132,8 @@ class TestBuildProfiles:
             world, groups = build_profiles(
                 records, [("p1", "g"), ("p1", "g")]
             )
-        assert groups["g"][k("bio")].total == 1
+        cell = groups["g"][k("bio")]
+        assert cell.mentioned + cell.not_mentioned == 1
         assert any("duplicate" in r.message for r in caplog.records)
 
 
@@ -395,4 +392,4 @@ class TestCountProfile:
             "p", {k("a"): CellCounts(1, 3), k("b"): CellCounts(2, 2)}
         )
         assert profile.total_papers == 8
-        assert profile.total_mentioned == 3
+        assert profile.counts[:, 0].sum() == 3

@@ -20,7 +20,6 @@ from zinorm import (
     build_profiles,
     classify_overlap,
     emnpc,
-    ffa_group,
     mhq,
     mnpc,
     parse_publications,
@@ -214,7 +213,8 @@ class TestMnpcDualFormulation:
             if record.paper_id not in members:
                 continue
             key = StratumKey(record.field_id, record.year)
-            world_rate = world[key].proportion_mentioned
+            cell = world[key]
+            world_rate = cell.mentioned / (cell.mentioned + cell.not_mentioned)
             assume(world_rate > 0)
             credits.append((1.0 / world_rate) if record.mentions else 0.0)
         result = try_indicator(mnpc, groups["g"], world)
@@ -250,16 +250,20 @@ def reference_profiles(records, memberships):
     paper_strata = {}
     for rec in records:
         key = StratumKey(rec.field_id, rec.year)
-        mentioned = rec.is_mentioned
+        mentioned = rec.mentions > 0
         cell = world_cells.get(key, CellCounts(0, 0))
-        world_cells[key] = cell.add(int(mentioned), int(not mentioned))
+        world_cells[key] = CellCounts(
+            cell.mentioned + mentioned, cell.not_mentioned + (not mentioned)
+        )
         paper_strata.setdefault(rec.paper_id, []).append((key, mentioned))
     group_cells = {}
     for paper_id, group_id in set(memberships):
         cells = group_cells.setdefault(group_id, {})
         for key, mentioned in paper_strata[paper_id]:
             cell = cells.get(key, CellCounts(0, 0))
-            cells[key] = cell.add(int(mentioned), int(not mentioned))
+            cells[key] = CellCounts(
+                cell.mentioned + mentioned, cell.not_mentioned + (not mentioned)
+            )
     groups = {
         label: CountProfile(label, cells) for label, cells in sorted(group_cells.items())
     }
@@ -339,20 +343,6 @@ class TestOverlapSymmetry:
             backward.overlap_proportion, rel=1e-12
         )
         assert forward.caveat == backward.caveat
-
-
-class TestFfaProperties:
-    @given(st.lists(st.sampled_from([1, 2, 3]), max_size=12), st.randoms())
-    def test_permutation_invariant(self, scores, rand):
-        shuffled = list(scores)
-        rand.shuffle(shuffled)
-        assert ffa_group(scores) == ffa_group(shuffled)
-
-    @given(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=12))
-    def test_label_follows_mean(self, scores):
-        grouped = ffa_group(scores)
-        assert grouped.ffa == pytest.approx(sum(scores) / len(scores))
-        assert str(grouped.label) == ("Q1" if grouped.ffa <= 1.0 else "Q2")
 
 
 #: Field values that the csv module and a plain split may read differently,

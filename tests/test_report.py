@@ -369,6 +369,14 @@ class TestRenderers:
         assert line.rstrip().endswith("15.18") or "%" not in line
 
 
+MALFORMED_STRATUM = {"field_id": "f0", "year": 2000, "world_size": 10, "mention_probability": 0.2}
+MALFORMED_BASE = {
+    "seed": 1,
+    "strata": [MALFORMED_STRATUM],
+    "groups": [{"label": "g", "sizes": 2, "theta": 2.0}],
+}
+
+
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
@@ -538,6 +546,35 @@ class TestCli:
         result = run_cli(command, "--spec", str(spec), *extra)
         assert result.returncode == 2
         assert result.stderr == "ERROR: stratum f0/1850: year 1850 outside [1900, 2100]\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["coverage", "synth"])
+    @pytest.mark.parametrize(
+        "spec_doc, message",
+        [
+            (
+                {"seed": 1, "strata": [{"field_id": "f0", "world_size": 10, "mention_probability": 0.2}]},
+                "spec stratum 0 is missing key 'year'",
+            ),
+            (
+                {**MALFORMED_BASE, "groups": [{"label": "g", "sizes": 2}]},
+                "spec group 0 is missing key 'theta'",
+            ),
+            (
+                {**MALFORMED_BASE, "strata": [{**MALFORMED_STRATUM, "mention_probability": "high"}]},
+                "spec stratum 0: mention_probability must be a number, got 'high'",
+            ),
+            ([1], "spec must be an object, got [1]"),
+        ],
+        ids=["stratum-key", "group-key", "probability", "not-object"],
+    )
+    def test_malformed_spec_exits_2_naming_entry(self, tmp_path, command, spec_doc, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_doc))
+        extra = ["--reps", "100"] if command == "coverage" else ["--out", str(tmp_path / "out")]
+        result = run_cli(command, "--spec", str(spec), *extra)
+        assert result.returncode == 2
+        assert result.stderr == f"ERROR: {message}\n"
         assert not (tmp_path / "out").exists()
 
     def test_info_log_has_ingest_stage_lines(self, tmp_path):

@@ -9,14 +9,12 @@ from zinorm import (
     GroupSpec,
     IndicatorKind,
     InputDataError,
-    QualityLabel,
     StratumKey,
     StratumSpec,
     WorldSpec,
     convergent_validity_run,
     coverage_experiment,
     expected_profiles,
-    ffa_group,
     generate_synthetic,
     group_probability,
     parse_membership,
@@ -51,39 +49,6 @@ def make_spec(seed=7, theta=2.0, p=0.2, world=50, group=10, n_strata=3):
     )
     groups = (GroupSpec("g", (group,) * n_strata, theta),)
     return WorldSpec(seed=seed, strata=strata, groups=groups)
-
-
-class TestFfaGroup:
-    def test_empty_is_q0(self):
-        grouped = ffa_group([])
-        assert grouped.label is QualityLabel.Q0
-        assert grouped.ffa == 0.0
-
-    def test_low_mean_is_q1(self):
-        grouped = ffa_group([1, 1])
-        assert grouped.label is QualityLabel.Q1
-        assert grouped.ffa == 1.0
-
-    def test_boundary_mean_exactly_one_is_q1(self):
-        assert ffa_group([1]).label is QualityLabel.Q1
-
-    def test_high_mean_is_q2(self):
-        grouped = ffa_group([2, 3])
-        assert grouped.label is QualityLabel.Q2
-        assert grouped.ffa == 2.5
-
-    def test_score_outside_scale_rejected(self):
-        with pytest.raises(InputDataError, match="score"):
-            ffa_group([1, 4])
-        with pytest.raises(InputDataError, match="score"):
-            ffa_group([0])
-
-    def test_non_integer_score_rejected(self):
-        with pytest.raises(InputDataError):
-            ffa_group([1.5])
-
-    def test_permutation_invariant(self):
-        assert ffa_group([3, 1, 2]) == ffa_group([2, 3, 1])
 
 
 class TestGroupProbability:
@@ -229,7 +194,6 @@ class TestGenerateSynthetic:
         assert mentioned, "expected some mentioned papers"
         assert min(mentioned) >= 1
         assert max(mentioned) > 1
-        assert all(r.is_mentioned == (r.mentions > 0) for r in records)
 
     def test_year_outside_range_rejected(self):
         # The spec checks the year rule of the records, naming the stratum,
@@ -277,7 +241,7 @@ class TestExpectedProfiles:
         assert cell.mentioned == pytest.approx(10 * q)
         world_cell = world[key]
         assert world_cell.mentioned == pytest.approx(40 * 0.2 + 10 * q)
-        assert world_cell.total == pytest.approx(50.0)
+        assert world_cell.mentioned + world_cell.not_mentioned == pytest.approx(50.0)
 
     def test_world_dominates_in_float(self):
         # stress the term-by-term accumulation with awkward probabilities
@@ -297,6 +261,40 @@ class TestExpectedProfiles:
                     world[key].not_mentioned
                     >= profile[key].not_mentioned
                 )
+
+    def test_unsorted_strata_and_zero_sizes(self):
+        keys = [
+            StratumKey("f2", 2001),
+            StratumKey("f0", 2003),
+            StratumKey("f1", 2000),
+            StratumKey("f0", 2001),
+        ]
+        probabilities = [0.3, 1.0 / 3.0, 0.0, 1.0]
+        strata = tuple(
+            StratumSpec(key, 11 + i, p)
+            for i, (key, p) in enumerate(zip(keys, probabilities))
+        )
+        groups = (
+            GroupSpec("g1", (2, 0, 3, 1), 2.0),
+            GroupSpec("g0", (1, 4, 0, 2), 0.7),
+        )
+        spec = WorldSpec(seed=1, strata=strata, groups=groups)
+        world, group_profiles = expected_profiles(spec)
+        assert world.strata() == tuple(sorted(keys))
+        assert list(group_profiles) == ["g1", "g0"]
+        for group in groups:
+            held = sorted(key for key, size in zip(keys, group.sizes) if size)
+            assert group_profiles[group.label].strata() == tuple(held)
+        background = spec.background_sizes()
+        for i, (key, p) in enumerate(zip(keys, probabilities)):
+            mentioned = background[i] * p
+            not_mentioned = background[i] * (1.0 - p)
+            for group in groups:
+                if group.sizes[i]:
+                    cell = group_profiles[group.label][key]
+                    mentioned += cell.mentioned
+                    not_mentioned += cell.not_mentioned
+            assert world[key] == CellCounts(mentioned, not_mentioned)
 
     def test_truths_unity_when_theta_one(self):
         spec = make_spec(theta=1.0)

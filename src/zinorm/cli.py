@@ -1,18 +1,19 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 for input problems, 3 for degenerate
-computations. Pipeline errors print a single ``ERROR:``-prefixed line to
-stderr. The ``ZINORM_LOG`` environment variable sets the logging level
-(debug, info, warning, error; default warning).
+Exit codes: 0 on success, 2 for input problems and for output files that
+cannot be written, 3 for degenerate computations. Pipeline errors, write
+failures included, print a single ``ERROR:``-prefixed line to stderr. The
+``ZINORM_LOG`` environment variable sets the logging level (debug, info,
+warning, error; default warning).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .errors import DegenerateComputationError, InputDataError
@@ -77,7 +78,10 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputDataError(f"cannot write output: {exc}") from exc
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -99,7 +103,9 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     spec = WorldSpec.from_json(args.spec)
-    records, pairs = generate_synthetic(spec, seed=args.seed)
+    if args.seed is not None:
+        spec = replace(spec, seed=args.seed)
+    records, pairs = generate_synthetic(spec)
     pub_path, mem_path = write_synthetic(records, pairs, args.out)
     sys.stdout.write(f"{pub_path}\n{mem_path}\n")
     return 0
@@ -107,15 +113,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_coverage(args: argparse.Namespace) -> int:
     spec = WorldSpec.from_json(args.spec)
-    result = coverage_experiment(spec, args.reps)
-    sys.stdout.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(render_json(coverage_experiment(spec, args.reps)))
     return 0
 
 
 def cmd_validity(args: argparse.Namespace) -> int:
     spec = WorldSpec.from_json(args.spec)
-    result = convergent_validity_run(spec)
-    sys.stdout.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(render_json(convergent_validity_run(spec)))
     return 0
 
 

@@ -31,6 +31,8 @@ Z95 = 1.96
 
 
 class IndicatorKind(Enum):
+    """The four indicators, declared in the order reports list them."""
+
     EMNPC = "emnpc"
     MNPC = "mnpc"
     MHQ = "mhq"
@@ -38,10 +40,6 @@ class IndicatorKind(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-#: Rendering order for report rows.
-KIND_ORDER = {kind: index for index, kind in enumerate(IndicatorKind)}
 
 
 @dataclass(frozen=True)

@@ -240,11 +240,6 @@ class CountProfile:
     def total_papers(self) -> float:
         return float(self.counts.sum())
 
-    def restrict(self, keep: Iterable[StratumKey]) -> "CountProfile":
-        """Return a copy containing only the strata in `keep`."""
-        keep_set = set(keep)
-        return self._take(np.array([key in keep_set for key in self._keys], dtype=bool))
-
 
 def world_rows(world: CountProfile, group: CountProfile) -> np.ndarray:
     """Row in `world` of each of `group`'s strata; all must be in the world."""

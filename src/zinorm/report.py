@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import DegenerateComputationError, InputDataError
 from .indicators import (
-    KIND_ORDER,
     IndicatorKind,
     IndicatorResult,
     emnpc,
@@ -40,7 +39,6 @@ from .indicators import (
 from .overlap import classify_overlap
 from .profiles import (
     DEFAULT_YEAR_RANGE,
-    WORLD_LABEL,
     CountProfile,
     FilterConfig,
     Publications,
@@ -197,31 +195,35 @@ def parse_membership(lines: Iterable[str]) -> list[tuple[str, str]]:
     return pairs
 
 
-@dataclass(frozen=True)
-class ReportConfig:
-    """Everything `run_report` needs; mirrors the CLI options."""
+@dataclass(frozen=True, kw_only=True)
+class ReportConfig(FilterConfig):
+    """Everything `run_report` needs; mirrors the CLI options.
+
+    The filter fields are `FilterConfig`'s, checked when the config is built.
+    """
 
     publications: Path
     membership: Path
     indicators: tuple[IndicatorKind, ...]
-    min_stratum_papers: int = 10
-    zero_handling: str = "correct"
-    restrict_to_group_strata: str | None = None
     collapse_years: bool = False
     compare: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if not self.indicators:
             raise InputDataError("at least one indicator must be requested")
-        ordered = tuple(
-            sorted(set(self.indicators), key=KIND_ORDER.__getitem__)
-        )
+        ordered = tuple(kind for kind in IndicatorKind if kind in self.indicators)
         object.__setattr__(self, "indicators", ordered)
-        if self.zero_handling not in ("correct", "drop"):
-            raise InputDataError(
-                f"zero_handling must be 'correct' or 'drop', "
-                f"got {self.zero_handling!r}"
-            )
+
+
+#: The function of each indicator, read at call time so that rebinding a
+#: value (as a tracer does) takes effect.
+INDICATORS = {
+    IndicatorKind.EMNPC: emnpc,
+    IndicatorKind.MNPC: mnpc,
+    IndicatorKind.MHQ: mhq,
+    IndicatorKind.MHQ_PRIME: mhq_prime,
+}
 
 
 def compute_rows(
@@ -239,53 +241,39 @@ def compute_rows(
     `DegenerateComputationError`.
     """
     notes: list[str] = []
-    corrected: tuple[CountProfile, Mapping[str, CountProfile]] | None = None
+    correct = zero_handling == "correct"
+    by_label = {False: {**groups, world.label: world}}
 
-    def corrected_profiles() -> tuple[CountProfile, Mapping[str, CountProfile]]:
-        nonlocal corrected
-        if corrected is None:
+    def profiles(label: str, corrected: bool) -> tuple[CountProfile, CountProfile]:
+        """`label`'s population and the world, raw or continuity-corrected."""
+        if corrected not in by_label:
             result = continuity_correct(world, groups)
             notes.extend(result.notes)
-            corrected = (result.world, result.groups)
-        return corrected
+            by_label[True] = {**result.groups, world.label: result.world}
+        return by_label[corrected][label], by_label[corrected][world.label]
 
-    labels = sorted(groups) + [world.label]
+    ordered = [kind for kind in IndicatorKind if kind in kinds]
     rows: dict[str, dict[IndicatorKind, IndicatorResult]] = {}
-    for label in labels:
+    for label in sorted(groups) + [world.label]:
         rows[label] = {}
-        for kind in sorted(set(kinds), key=KIND_ORDER.__getitem__):
+        for kind in ordered:
             if kind is IndicatorKind.MHQ_PRIME and label == world.label:
                 notes.append(
                     "mhq_prime is undefined for the world row and was skipped"
                 )
                 continue
-            if kind is IndicatorKind.MNPC and zero_handling == "correct":
-                cw, cg = corrected_profiles()
-                profile = cw if label == world.label else cg[label]
-                result = mnpc(profile, cw)
-            elif kind is IndicatorKind.MNPC:
-                profile = world if label == world.label else groups[label]
-                result = mnpc(profile, world)
-            elif kind is IndicatorKind.EMNPC:
-                profile = world if label == world.label else groups[label]
-                try:
-                    result = emnpc(profile, world)
-                except DegenerateComputationError:
-                    if zero_handling != "correct":
-                        raise
-                    cw, cg = corrected_profiles()
-                    cprofile = cw if label == world.label else cg[label]
-                    result = emnpc(cprofile, cw)
-                    result = replace(
-                        result,
-                        notes=result.notes
-                        + ("computed on continuity-corrected profiles",),
-                    )
-            elif kind is IndicatorKind.MHQ:
-                profile = world if label == world.label else groups[label]
-                result = mhq(profile, world)
-            else:
-                result = mhq_prime(groups[label], world)
+            indicator = INDICATORS[kind]
+            try:
+                result = indicator(*profiles(label, correct and kind is IndicatorKind.MNPC))
+            except DegenerateComputationError:
+                if not correct or kind is not IndicatorKind.EMNPC:
+                    raise
+                result = indicator(*profiles(label, True))
+                result = replace(
+                    result,
+                    notes=result.notes
+                    + ("computed on continuity-corrected profiles",),
+                )
             rows[label][kind] = result
     return rows, notes
 
@@ -306,6 +294,16 @@ def result_payload(result: IndicatorResult) -> dict:
     if result.value < PERCENT_RENDER_LIMIT:
         payload["percent_vs_world"] = percent_vs_world(result.value)
     return payload
+
+
+def rows_payload(
+    rows: Mapping[str, Mapping[IndicatorKind, IndicatorResult]],
+) -> dict[str, dict[str, dict]]:
+    """The ``groups`` section of a report: each population's payload per indicator."""
+    return {
+        label: {str(kind): result_payload(result) for kind, result in by_kind.items()}
+        for label, by_kind in rows.items()
+    }
 
 
 def build_comparisons(
@@ -386,12 +384,7 @@ def run_report(config: ReportConfig) -> dict:
     profiles = build_profiles(table, pairs)
     world, groups = profiles
 
-    filter_config = FilterConfig(
-        min_stratum_papers=config.min_stratum_papers,
-        restrict_to_group_strata=config.restrict_to_group_strata,
-        zero_handling=config.zero_handling,
-    )
-    filtered = apply_filters(world, groups, filter_config)
+    filtered = apply_filters(world, groups, config)
 
     for label in sorted(filtered.groups):
         if len(filtered.groups[label]) == 0:
@@ -418,13 +411,7 @@ def run_report(config: ReportConfig) -> dict:
     notes.extend(comparison_notes)
 
     doc = {
-        "groups": {
-            label: {
-                str(kind): result_payload(result)
-                for kind, result in by_kind.items()
-            }
-            for label, by_kind in rows.items()
-        },
+        "groups": rows_payload(rows),
         "comparisons": comparisons,
         "audit": {
             "config": {
@@ -476,10 +463,9 @@ def render_table(doc: dict) -> str:
     rows: list[tuple[str, str, dict]] = []
     for label in sorted(doc["groups"]):
         by_kind = doc["groups"][label]
-        for kind in sorted(
-            by_kind, key=lambda k: KIND_ORDER[IndicatorKind(k)]
-        ):
-            rows.append((label, kind, by_kind[kind]))
+        for kind in map(str, IndicatorKind):
+            if kind in by_kind:
+                rows.append((label, kind, by_kind[kind]))
 
     label_width = max(len("population"), *(len(r[0]) for r in rows))
     kind_width = max(len("indicator"), *(len(r[1]) for r in rows))

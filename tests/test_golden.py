@@ -41,17 +41,22 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden_bytes(name):
+def source_env() -> dict:
+    """The environment with the repository's ``src`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_bytes(name):
     proc = subprocess.run(
         [sys.executable, "-m", "zinorm", *CASES[name]],
         capture_output=True,
         cwd=ROOT,
-        env=env,
+        env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()

@@ -3,18 +3,24 @@
 `perfbench/tracing.py` wraps zinorm's functions by (module, attribute);
 a layer whose name is gone drops its metrics from every traced run. This
 reads that table, without changing it, so a deletion that breaks the
-benchmark fails here too.
+benchmark fails here too. A traced `compute` run checks that the report
+pipeline still calls each layer by a name the tracer rebinds.
 """
 
 import importlib
 import importlib.util
-from pathlib import Path
+import json
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
 import zinorm
 
-TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+from test_golden import CASES, GOLDEN, ROOT, source_env
+
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _layers():
@@ -35,3 +41,30 @@ def test_benchmark_layer_resolves(layer):
 
 def test_report_binds_the_indicator_mhq():
     assert zinorm.report.mhq is zinorm.indicators.mhq
+
+
+def test_traced_compute_spans_each_indicator_call(tmp_path):
+    spans_path = tmp_path / "spans.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "cli", str(spans_path), "--",
+         *CASES["report.json"]],
+        capture_output=True,
+        cwd=ROOT,
+        env=source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / "report.json").read_bytes()
+    spans = json.loads(spans_path.read_text())["spans"]
+    under = Counter(
+        (layer, spans[parent][0])
+        for layer, _, _, parent, _ in spans
+        if parent >= 0 and spans[parent][0] in ("report.compute_rows", "report.build_comparisons")
+    )
+    assert under == {
+        ("indicators.emnpc", "report.compute_rows"): 3,
+        ("indicators.mnpc", "report.compute_rows"): 3,
+        ("indicators.mhq", "report.compute_rows"): 3,
+        ("indicators.mhq_prime", "report.compute_rows"): 2,
+        ("profiles.continuity_correct", "report.compute_rows"): 1,
+        ("overlap.classify_overlap", "report.build_comparisons"): 4,
+    }

@@ -379,14 +379,6 @@ class TestCountProfile:
         )
         assert profile.strata() == (k("a"), k("b"))
 
-    def test_restrict(self):
-        profile = CountProfile(
-            "p", {k("a"): CellCounts(1, 1), k("b"): CellCounts(2, 2)}
-        )
-        restricted = profile.restrict([k("b")])
-        assert restricted.strata() == (k("b"),)
-        assert profile.strata() == (k("a"), k("b"))
-
     def test_totals(self):
         profile = CountProfile(
             "p", {k("a"): CellCounts(1, 3), k("b"): CellCounts(2, 2)}

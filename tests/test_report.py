@@ -220,6 +220,10 @@ class TestReportConfig:
         with pytest.raises(InputDataError):
             config(zero_handling="maybe")
 
+    def test_filter_fields_checked_when_built(self):
+        with pytest.raises(InputDataError, match="min_stratum_papers must be non-negative"):
+            config(min_stratum_papers=-1)
+
 
 @pytest.fixture(scope="module")
 def doc():
@@ -536,6 +540,36 @@ class TestCli:
     def test_no_subcommand_exits_2(self):
         result = run_cli()
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_synth_seed_override_obeys_spec_seed_rule(self, tmp_path, seed):
+        out = tmp_path / "out"
+        result = run_cli(
+            "synth", "--spec", str(COVERAGE_SPEC), "--seed", str(seed), "--out", str(out)
+        )
+        assert result.returncode == 2
+        assert result.stderr == "ERROR: seed must fit in 64 unsigned bits\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["compute", "synth"])
+    def test_failed_output_write_exits_2(self, tmp_path, command):
+        if command == "compute":
+            message = "cannot write output: "
+            args = (
+                "compute",
+                "--publications", str(PUBLICATIONS_CSV),
+                "--membership", str(MEMBERSHIP_CSV),
+                "--indicators", "mhq",
+                "--output", str(tmp_path / "missing" / "report.txt"),
+            )
+        else:
+            message = "cannot write synthetic data: "
+            (tmp_path / "file").write_text("")
+            args = ("synth", "--spec", str(COVERAGE_SPEC), "--out", str(tmp_path / "file"))
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"ERROR: {message}")
+        assert result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["coverage", "synth"])
     def test_spec_year_outside_range_exits_2_naming_stratum(self, tmp_path, command):

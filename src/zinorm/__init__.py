@@ -18,7 +18,6 @@ from .profiles import (
     CellCounts,
     CountProfile,
     FilterConfig,
-    PublicationRecord,
     StratumKey,
     apply_filters,
     build_profiles,
@@ -59,7 +58,6 @@ __all__ = [
     "InputDataError",
     "OverlapCategory",
     "OverlapVerdict",
-    "PublicationRecord",
     "ReportConfig",
     "StratumKey",
     "StratumSpec",

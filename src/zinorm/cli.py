@@ -105,8 +105,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec = WorldSpec.from_json(args.spec)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    records, pairs = generate_synthetic(spec)
-    pub_path, mem_path = write_synthetic(records, pairs, args.out)
+    table, pairs = generate_synthetic(spec)
+    pub_path, mem_path = write_synthetic(table, pairs, args.out)
     sys.stdout.write(f"{pub_path}\n{mem_path}\n")
     return 0
 

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress, count
-from operator import attrgetter, not_
+from operator import not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -81,35 +81,20 @@ class CellCounts:
             raise InputDataError("cell counts must be non-negative")
 
 
-class PublicationRecord(
-    NamedTuple(
-        "_Publication",
-        [("paper_id", str), ("field_id", str), ("year", int), ("mentions", int)],
-    )
-):
-    """One paper's assignment to a stratum, with its mention count.
+class PublicationRecord(NamedTuple):
+    """One paper's assignment to a stratum, as a `Publications` table yields it."""
 
-    Construction, `_replace` included, checks the rules a single row must
-    meet, as a one-row `Publications` table: non-empty ids, a year in
-    `DEFAULT_YEAR_RANGE`, mentions >= 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, paper_id: str, field_id: str, year: int, mentions: int):
-        Publications([paper_id], [field_id], [year], [mentions])
-        return super().__new__(cls, paper_id, field_id, year, mentions)
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "PublicationRecord":
-        return cls(*iterable)
+    paper_id: str
+    field_id: str
+    year: int
+    mentions: int
 
 
-#: A record from a row that its table has already checked.
+#: A record from a row tuple, skipping `_make`'s length check.
 _record = partial(tuple.__new__, PublicationRecord)
 
 
-class Publications(Sequence):
+class Publications:
     """Publication rows as columns, checked against the row rules when built.
 
     `paper_id` is a list, field ids are `field_codes` into the sorted
@@ -118,7 +103,7 @@ class Publications(Sequence):
     a file. The first row with an empty id, a year outside
     `DEFAULT_YEAR_RANGE` or a negative mention count raises
     `InputDataError`, prefixed with ``line N: `` when lines are known.
-    Items are `PublicationRecord`s.
+    Iteration yields the rows as `PublicationRecord`s.
     """
 
     def __init__(self, paper_id: list, field_id: list, year, mentions, line=None):
@@ -140,20 +125,8 @@ class Publications(Sequence):
             mentions = np.minimum(mentions, 2**63 - 1).astype(np.int64)
         self.year, self.mentions = year.astype(np.int64, copy=False), mentions
 
-    @classmethod
-    def of(cls, records: Iterable[PublicationRecord]) -> "Publications":
-        """`records` as a table; a table is returned as it is."""
-        if isinstance(records, Publications):
-            return records
-        rows = list(map(attrgetter(*PublicationRecord._fields), records))
-        return cls(*map(list, zip(*rows))) if rows else cls([], [], [], [])
-
     def __len__(self) -> int:
         return len(self.paper_id)
-
-    def __getitem__(self, row: int) -> PublicationRecord:
-        field_id = self.fields[self.field_codes[row]]
-        return _record((self.paper_id[row], field_id, int(self.year[row]), int(self.mentions[row])))
 
     def __iter__(self) -> Iterator[PublicationRecord]:
         # In blocks, so that no column is held as a full list of Python ints.
@@ -162,11 +135,6 @@ class Publications(Sequence):
             field_ids = map(self.fields.__getitem__, self.field_codes[block].tolist())
             columns = self.year[block].tolist(), self.mentions[block].tolist()
             yield from map(_record, zip(self.paper_id[block], field_ids, *columns))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 class CountProfile:
@@ -206,18 +174,8 @@ class CountProfile:
         """The strata where the boolean `mask` is true, as a new profile."""
         return self._with(tuple(compress(self._keys, mask.tolist())), self.counts[mask])
 
-    @property
-    def cells(self) -> dict[StratumKey, CellCounts]:
-        return dict(self.items())
-
-    def __contains__(self, key: StratumKey) -> bool:
-        return key in self._rows
-
     def __len__(self) -> int:
         return len(self._keys)
-
-    def __getitem__(self, key: StratumKey) -> CellCounts:
-        return CellCounts(*self.counts[self._rows[key]].tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountProfile):
@@ -232,9 +190,6 @@ class CountProfile:
 
     def strata(self) -> tuple[StratumKey, ...]:
         return self._keys
-
-    def items(self) -> Iterator[tuple[StratumKey, CellCounts]]:
-        return zip(self._keys, (CellCounts(*cell) for cell in self.counts.tolist()))
 
     @property
     def total_papers(self) -> float:
@@ -311,27 +266,26 @@ class Profiles(tuple):
 
 
 def build_profiles(
-    records: Iterable[PublicationRecord],
+    table: Publications,
     memberships: Sequence[tuple[str, str]],
 ) -> Profiles:
-    """Aggregate per-paper records into world and group count profiles.
+    """Aggregate a table of publication rows into world and group count profiles.
 
     Parameters
     ----------
-    records:
-        Paper-to-stratum assignments: a `Publications` table or any
-        iterable of `PublicationRecord`s, which check their own row rules.
-        A paper may appear under several strata (multi-field papers) but
-        only once per stratum.
+    table:
+        Paper-to-stratum assignments, checked against the row rules when
+        the table was built. A paper may appear under several strata
+        (multi-field papers) but only once per stratum.
     memberships:
         (paper_id, group_id) pairs. Every cited paper must exist in
-        `records`; a paper contributes to a group in every stratum it is
+        `table`; a paper contributes to a group in every stratum it is
         assigned to. Duplicate pairs are collapsed with a warning.
 
     Returns
     -------
     (world, groups):
-        The world profile over all records plus one profile per group
+        The world profile over all rows plus one profile per group
         label, each over the strata where it has papers, as a `Profiles`
         pair. Profiles compare equal across permutations of the inputs.
 
@@ -343,14 +297,14 @@ def build_profiles(
         reserved world label.
     """
     start = time.perf_counter()
-    table = Publications.of(records)
     year_values, year_codes = np.unique(table.year, return_inverse=True)
     _, first_rows, stratum_codes = np.unique(
         table.field_codes * len(year_values) + year_codes,
         return_index=True,
         return_inverse=True,
     )
-    keys = tuple(StratumKey(*table[row][1:3]) for row in first_rows.tolist())
+    field_ids = map(table.fields.__getitem__, table.field_codes[first_rows].tolist())
+    keys = tuple(map(StratumKey, field_ids, table.year[first_rows].tolist()))
     # A paper's code is the index of its first row.
     paper_index: dict[str, int] = {}
     paper_codes = np.fromiter(
@@ -383,7 +337,7 @@ def build_profiles(
     if duplicates := len(memberships) - len(pairs):
         logger.warning("collapsed %d duplicate membership pair(s)", duplicates)
 
-    # Pair each membership with every record row of its paper, reading the
+    # Pair each membership with every row of its paper, reading the
     # paper's run of rows from the rows sorted by paper.
     labels, member_groups = _factorize([group_id for _, group_id in pairs])
     member_papers = _codes(paper_index, [paper_id for paper_id, _ in pairs])

@@ -152,9 +152,9 @@ def parse_publications(lines: Iterable[str]) -> Publications:
 
     `lines` is a text file or any iterable of lines. The header must be
     exactly ``paper_id,field_id,year,mentions``. A wrong column count, a
-    non-integer year or mention count, or a row that breaks a
-    `PublicationRecord` rule raises `InputDataError` naming the first
-    offending line; within a line, the first two come before the rules.
+    non-integer year or mention count, or a row that breaks a row rule of
+    `Publications` raises `InputDataError` naming the first offending
+    line; within a line, the first two come before the rules.
     Duplicate assignments are found by `build_profiles`. A file that the
     csv module would read as a plain split is split in one pass.
     """
@@ -362,12 +362,12 @@ def run_report(config: ReportConfig) -> dict:
     try:
         with open(config.publications, newline="", encoding="utf-8-sig") as fh:
             table = parse_publications(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read publications: {exc}") from exc
     try:
         with open(config.membership, newline="", encoding="utf-8-sig") as fh:
             pairs = parse_membership(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputDataError(f"cannot read membership: {exc}") from exc
 
     notes: list[str] = []
@@ -467,8 +467,8 @@ def render_table(doc: dict) -> str:
             if kind in by_kind:
                 rows.append((label, kind, by_kind[kind]))
 
-    label_width = max(len("population"), *(len(r[0]) for r in rows))
-    kind_width = max(len("indicator"), *(len(r[1]) for r in rows))
+    label_width = max([len("population"), *(len(r[0]) for r in rows)])
+    kind_width = max([len("indicator"), *(len(r[1]) for r in rows)])
     header = (
         f"{'population':<{label_width}}  {'indicator':<{kind_width}}  "
         f"{'value':>7}  {'95% CI':>16}  {'strata':>6}  vs world"

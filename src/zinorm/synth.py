@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .profiles import (
     WORLD_LABEL,
     CountProfile,
     FilterConfig,
-    PublicationRecord,
     Publications,
     StratumKey,
     apply_filters,
@@ -63,6 +62,11 @@ logger = logging.getLogger(__name__)
 
 #: Group labels that would collide with generated paper-id prefixes.
 RESERVED_LABELS = (WORLD_LABEL, "bg")
+
+#: Characters that the CSV files `synth` writes would have to quote; no
+#: field id or group label may hold them.
+_QUOTED = frozenset(',"\r\n')
+_QUOTED_NAMES = "',', '\"', '\\r' or '\\n'"
 
 _VALIDITY_KINDS = (IndicatorKind.EMNPC, IndicatorKind.MNPC, IndicatorKind.MHQ)
 
@@ -130,6 +134,10 @@ class StratumSpec:
     mention_probability: float
 
     def __post_init__(self) -> None:
+        if _QUOTED & set(self.key.field_id):
+            raise InputDataError(
+                f"stratum {str(self.key)!r}: field_id holds {_QUOTED_NAMES}"
+            )
         if years_outside(self.key.year):
             raise InputDataError(f"stratum {self.key}: {year_error(self.key.year)}")
         if self.world_size < 1:
@@ -149,9 +157,10 @@ class GroupSpec:
     theta: float
 
     def __post_init__(self) -> None:
-        if not self.label or self.label in RESERVED_LABELS or ":" in self.label:
+        label = self.label
+        if not label or label in RESERVED_LABELS or set(label) & {":", *_QUOTED}:
             raise InputDataError(
-                f"group label {self.label!r} is empty, reserved, or contains ':'"
+                f"group label {label!r} is empty, reserved, or holds ':', {_QUOTED_NAMES}"
             )
         if any(size < 0 for size in self.sizes):
             raise InputDataError(f"group {self.label!r} has a negative size")
@@ -210,9 +219,12 @@ class WorldSpec:
             field_id, year, world_size, probability = _fields(
                 what, item, "field_id", "year", "world_size", "mention_probability"
             )
+            field_id = str(field_id)
+            if not field_id:
+                raise InputDataError(f"{what}: field_id must be non-empty")
             strata.append(
                 StratumSpec(
-                    key=StratumKey(str(field_id), _require_int(year, f"{what}: year")),
+                    key=StratumKey(field_id, _require_int(year, f"{what}: year")),
                     world_size=_require_int(world_size, f"{what}: world_size"),
                     mention_probability=_require_float(
                         probability, f"{what}: mention_probability"
@@ -241,7 +253,7 @@ class WorldSpec:
         try:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputDataError(f"cannot read spec: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputDataError(f"spec is not valid JSON: {exc}") from exc
@@ -295,14 +307,14 @@ def generate_synthetic(spec: WorldSpec) -> tuple[Publications, list[tuple[str, s
 
 
 def write_synthetic(
-    records: Iterable[PublicationRecord],
+    table: Publications,
     pairs: Sequence[tuple[str, str]],
     out_dir: Path | str,
 ) -> tuple[Path, Path]:
-    """Write publications.csv and membership.csv in the ingestion format.
+    """Write `table` and `pairs` as publications.csv and membership.csv.
 
-    `records` is a `Publications` table or any iterable of records. A
-    failed write raises `InputDataError`.
+    The files are in the ingestion format. A failed write raises
+    `InputDataError`.
     """
     out = Path(out_dir)
     pub_path = out / "publications.csv"
@@ -311,7 +323,7 @@ def write_synthetic(
         out.mkdir(parents=True, exist_ok=True)
         with open(pub_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("paper_id,field_id,year,mentions\n")
-            fh.writelines(map("%s,%s,%s,%s\n".__mod__, records))
+            fh.writelines(map("%s,%s,%s,%s\n".__mod__, table))
         with open(mem_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("paper_id,group_id\n")
             fh.writelines(map("%s,%s\n".__mod__, pairs))
@@ -519,8 +531,8 @@ def convergent_validity_run(spec: WorldSpec) -> dict:
     """
     if not spec.groups:
         raise InputDataError("validity run requires at least one group")
-    records, pairs = generate_synthetic(spec)
-    world, groups = build_profiles(records, pairs)
+    table, pairs = generate_synthetic(spec)
+    world, groups = build_profiles(table, pairs)
     adjacent = [
         (spec.groups[i].label, spec.groups[i + 1].label)
         for i in range(len(spec.groups) - 1)

@@ -1,8 +1,10 @@
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from zinorm import build_profiles, parse_membership, parse_publications
+from zinorm.profiles import Publications
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -20,3 +22,18 @@ def small_world():
     with open(MEMBERSHIP_CSV, newline="") as fh:
         pairs = parse_membership(fh)
     return build_profiles(records, pairs)
+
+
+def table(rows):
+    """A `Publications` table of (paper_id, field_id, year, mentions) rows."""
+    return Publications(*map(list, zip(*rows)))
+
+
+class Cell(NamedTuple):
+    mentioned: float
+    not_mentioned: float
+
+
+def cells(profile):
+    """Each stratum of `profile` with its row of `counts`."""
+    return {key: Cell(*row) for key, row in zip(profile.strata(), profile.counts.tolist())}

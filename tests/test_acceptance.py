@@ -42,6 +42,7 @@ from conftest import (
     MEMBERSHIP_CSV,
     PUBLICATIONS_CSV,
     VALIDITY_SPEC,
+    cells,
 )
 
 
@@ -158,10 +159,9 @@ def test_criterion_3_mhq_worked_example(fixture_profiles):
             ("setB", (9.949, 7.675)),
         ):
             profile = groups[label]
-            a = np.array([profile[k].mentioned for k in profile.strata()])
-            b = np.array([profile[k].not_mentioned for k in profile.strata()])
-            c = np.array([world[k].mentioned for k in profile.strata()])
-            d = np.array([world[k].not_mentioned for k in profile.strata()])
+            world_cells = cells(world)
+            a, b = profile.counts.T
+            c, d = np.array([world_cells[k] for k in profile.strata()]).T
             r, s, *_ = mh_accumulate(a, b, c, d)
             tolerance = 0.005 if label == "setA" else 0.0005
             assert r == pytest.approx(r_expected, abs=tolerance)
@@ -227,17 +227,17 @@ def test_criterion_4_property_suite():
             group_rep = CountProfile(
                 "g",
                 {
-                    StratumKey(k.field_id, k.year + i): group[k]
+                    StratumKey(k.field_id, k.year + i): cell
                     for i in range(copies)
-                    for k in group.strata()
+                    for k, cell in cells(group).items()
                 },
             )
             world_rep = CountProfile(
                 "world",
                 {
-                    StratumKey(k.field_id, k.year + i): world[k]
+                    StratumKey(k.field_id, k.year + i): cell
                     for i in range(copies)
-                    for k in world.strata()
+                    for k, cell in cells(world).items()
                 },
             )
             for func in (mhq, emnpc, mnpc):
@@ -255,7 +255,7 @@ def test_criterion_4_property_suite():
                     k: CellCounts(
                         cell.mentioned * factor, cell.not_mentioned * factor
                     )
-                    for k, cell in p.items()
+                    for k, cell in cells(p).items()
                 },
             )
             for func in (mhq, emnpc, mnpc):
@@ -267,10 +267,11 @@ def test_criterion_4_property_suite():
         for _ in range(1000):
             group, world = _random_pair(rng)
             total_group = group.total_papers
+            world_cells = cells(world)
             per_paper_sum = sum(
-                group[k].mentioned
-                / (world[k].mentioned / (world[k].mentioned + world[k].not_mentioned))
-                for k in group.strata()
+                cell.mentioned
+                / (world_cells[k].mentioned / sum(world_cells[k]))
+                for k, cell in cells(group).items()
             )
             assert mnpc(group, world).value == pytest.approx(
                 per_paper_sum / total_group, rel=1e-12

@@ -20,6 +20,9 @@ from zinorm import (
 )
 from zinorm.report import result_payload
 
+from conftest import cells
+
+
 def k(field, year=2010):
     return StratumKey(field, year)
 
@@ -183,9 +186,9 @@ class TestMhq:
         world, set_a, set_b = worked_example
         for group in (set_a, set_b):
             tables = []
-            for key in group.strata():
-                g = group[key]
-                w = world[key]
+            world_cells = cells(world)
+            for key, g in cells(group).items():
+                w = world_cells[key]
                 tables.append(
                     [[g.mentioned, g.not_mentioned], [w.mentioned, w.not_mentioned]]
                 )
@@ -281,12 +284,13 @@ def test_mh_internals_match_hand_accumulation(worked_example):
         (set_a, (10.338045, 12.758195)),
         (set_b, (9.949060, 7.675258)),
     ):
+        world_cells = cells(world)
         a, b, c, d = [], [], [], []
-        for key in group.strata():
-            a.append(group[key].mentioned)
-            b.append(group[key].not_mentioned)
-            c.append(world[key].mentioned)
-            d.append(world[key].not_mentioned)
+        for key, (mentioned, not_mentioned) in cells(group).items():
+            a.append(mentioned)
+            b.append(not_mentioned)
+            c.append(world_cells[key].mentioned)
+            d.append(world_cells[key].not_mentioned)
         r, s, *_ = mh_accumulate(a, b, c, d)
         assert r == pytest.approx(r_expected, abs=1e-5)
         assert s == pytest.approx(s_expected, abs=1e-5)

@@ -4,7 +4,9 @@
 a layer whose name is gone drops its metrics from every traced run. This
 reads that table, without changing it, so a deletion that breaks the
 benchmark fails here too. A traced `compute` run checks that the report
-pipeline still calls each layer by a name the tracer rebinds.
+pipeline still calls each layer by a name the tracer rebinds, and a small
+`refilter` run checks that the library session the benchmark times still
+sets up and passes its oracle.
 """
 
 import importlib
@@ -68,3 +70,26 @@ def test_traced_compute_spans_each_indicator_call(tmp_path):
         ("profiles.continuity_correct", "report.compute_rows"): 1,
         ("overlap.classify_overlap", "report.build_comparisons"): 4,
     }
+
+
+def test_refilter_worker_passes_the_oracle(tmp_path, monkeypatch):
+    # The benchmark's own modules, imported as its scripts import each other.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    worlds, oracle, worker = map(importlib.import_module, ("worlds", "oracle", "worker"))
+    cells = worlds.refilter_world(tmp_path, 3, 0.1)
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, "perfbench/worker.py", "refilter",
+         str(tmp_path / "publications.csv"), str(tmp_path / "membership.csv"), str(result)],
+        capture_output=True,
+        cwd=ROOT,
+        env=source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    doc = json.loads(result.read_text())
+    counts = (doc["assignments"], doc["papers"], doc["membership_rows"], doc["world_papers"])
+    assert counts == (cells.assignments, cells.papers, cells.membership_rows, cells.assignments)
+    assert len(doc["configs"]) == len(worker.CONFIGS)
+    for config, outcome in zip(worker.CONFIGS, doc["configs"]):
+        _, _, problems = oracle.check_refilter_config(outcome, cells, config)
+        assert problems == [], config

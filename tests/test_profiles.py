@@ -9,12 +9,13 @@ from zinorm import (
     DegenerateComputationError,
     FilterConfig,
     InputDataError,
-    PublicationRecord,
     StratumKey,
     apply_filters,
     build_profiles,
     continuity_correct,
 )
+
+from conftest import cells, table
 
 
 def k(field, year=2010):
@@ -22,7 +23,7 @@ def k(field, year=2010):
 
 
 def rec(paper, field, year=2010, mentions=1):
-    return PublicationRecord(paper, field, year, mentions)
+    return (paper, field, year, mentions)
 
 
 class TestStratumKey:
@@ -61,78 +62,60 @@ class TestBuildProfiles:
             rec("p3", "bio", mentions=0),
             rec("p4", "chem", mentions=0),
         ]
-        world, groups = build_profiles(records, [("p1", "g"), ("p3", "g")])
-        assert world[k("bio")] == CellCounts(2, 1)
-        assert world[k("chem")] == CellCounts(0, 1)
-        assert groups["g"][k("bio")] == CellCounts(1, 1)
-        assert k("chem") not in groups["g"]
+        world, groups = build_profiles(table(records), [("p1", "g"), ("p3", "g")])
+        assert cells(world) == {k("bio"): (2, 1), k("chem"): (0, 1)}
+        assert cells(groups["g"]) == {k("bio"): (1, 1)}
 
     def test_multi_field_paper_counts_in_each_stratum(self):
         records = [rec("p1", "bio", mentions=2), rec("p1", "chem", mentions=2)]
-        world, groups = build_profiles(records, [("p1", "g")])
+        world, groups = build_profiles(table(records), [("p1", "g")])
         assert world.total_papers == 2
-        assert groups["g"][k("bio")].mentioned == 1
-        assert groups["g"][k("chem")].mentioned == 1
+        assert cells(groups["g"]) == {k("bio"): (1, 0), k("chem"): (1, 0)}
 
     def test_input_order_does_not_matter(self):
         records = [rec(f"p{i}", f"f{i % 3}", mentions=i % 2) for i in range(30)]
         pairs = [(f"p{i}", "g") for i in range(0, 30, 2)]
-        world_a, groups_a = build_profiles(records, pairs)
+        world_a, groups_a = build_profiles(table(records), pairs)
         shuffled = records[:]
         random.Random(7).shuffle(shuffled)
         pairs_shuffled = pairs[::-1]
-        world_b, groups_b = build_profiles(shuffled, pairs_shuffled)
+        world_b, groups_b = build_profiles(table(shuffled), pairs_shuffled)
         assert world_a == world_b
         assert groups_a == groups_b
 
     def test_duplicate_assignment_rejected(self):
         records = [rec("p1", "bio"), rec("p1", "bio")]
         with pytest.raises(InputDataError, match="more than once"):
-            build_profiles(records, [])
+            build_profiles(table(records), [])
 
     def test_unknown_membership_paper_rejected(self):
         with pytest.raises(InputDataError, match="unknown paper"):
-            build_profiles([rec("p1", "bio")], [("ghost", "g")])
+            build_profiles(table([rec("p1", "bio")]), [("ghost", "g")])
 
     def test_reserved_world_label_rejected(self):
         with pytest.raises(InputDataError, match="reserved"):
-            build_profiles([rec("p1", "bio")], [("p1", "world")])
+            build_profiles(table([rec("p1", "bio")]), [("p1", "world")])
 
     def test_negative_mentions_rejected(self):
         with pytest.raises(InputDataError, match="negative"):
-            build_profiles([rec("p1", "bio", mentions=-1)], [])
+            build_profiles(table([rec("p1", "bio", mentions=-1)]), [])
 
     def test_year_out_of_range_rejected(self):
         with pytest.raises(InputDataError, match="outside"):
-            build_profiles([rec("p1", "bio", year=1850)], [])
-
-    def test_one_shot_iterator_accepted(self):
-        records = [rec("p1", "bio", mentions=0), rec("p2", "chem"), rec("p1", "chem")]
-        pairs = [("p1", "g")]
-        assert build_profiles(iter(records), pairs) == build_profiles(records, pairs)
+            build_profiles(table([rec("p1", "bio", year=1850)]), [])
 
     def test_counts_distinct_papers_and_pairs(self):
         records = [rec("p1", "bio"), rec("p1", "chem"), rec("p2", "bio")]
-        profiles = build_profiles(records, [("p1", "g"), ("p2", "g"), ("p1", "g")])
+        profiles = build_profiles(table(records), [("p1", "g"), ("p2", "g"), ("p1", "g")])
         assert (profiles.papers, profiles.pairs) == (2, 2)
-
-    def test_unchecked_tuple_rejected(self):
-        # A plain tuple has not passed the record's row rules, so it is
-        # never counted, not even as an unmentioned paper.
-        with pytest.raises(AttributeError):
-            build_profiles([("p1", "bio", 2010, -1)], [])
-
-    def test_replace_keeps_row_rules(self):
-        with pytest.raises(InputDataError, match="negative mention count -1"):
-            rec("p1", "bio")._replace(mentions=-1)
 
     def test_duplicate_membership_collapsed_with_warning(self, caplog):
         records = [rec("p1", "bio")]
         with caplog.at_level(logging.WARNING, logger="zinorm.profiles"):
             world, groups = build_profiles(
-                records, [("p1", "g"), ("p1", "g")]
+                table(records), [("p1", "g"), ("p1", "g")]
             )
-        cell = groups["g"][k("bio")]
+        cell = cells(groups["g"])[k("bio")]
         assert cell.mentioned + cell.not_mentioned == 1
         assert any("duplicate" in r.message for r in caplog.records)
 
@@ -157,8 +140,8 @@ class TestApplyFilters:
     def test_min_stratum_papers(self):
         world, groups = self._profiles()
         result = apply_filters(world, groups, FilterConfig(min_stratum_papers=10))
-        assert k("small") not in result.world
-        assert k("zero") in result.world
+        assert k("small") not in result.world.strata()
+        assert k("zero") in result.world.strata()
         reasons = dict(result.removed)
         assert "fewer than 10" in reasons[k("small")]
 
@@ -169,8 +152,8 @@ class TestApplyFilters:
             groups,
             FilterConfig(min_stratum_papers=0, zero_handling="drop"),
         )
-        assert k("zero") not in result.world
-        assert k("zero") not in result.groups["g"]
+        assert k("zero") not in result.world.strata()
+        assert k("zero") not in result.groups["g"].strata()
         reasons = dict(result.removed)
         assert "no mentioned papers" in reasons[k("zero")]
 
@@ -181,7 +164,7 @@ class TestApplyFilters:
             groups,
             FilterConfig(min_stratum_papers=0, zero_handling="correct"),
         )
-        assert k("zero") in result.world
+        assert k("zero") in result.world.strata()
 
     def test_restriction_runs_before_min_papers(self):
         world, groups = self._profiles()
@@ -223,29 +206,29 @@ class TestContinuityCorrect:
             "setB": CountProfile("setB", {k("cat4"): CellCounts(0, 10)}),
         }
         result = continuity_correct(world, groups)
-        assert result.world[k("cat4")] == CellCounts(1.0, 21.0)
-        assert result.groups["setA"][k("cat4")] == CellCounts(0.5, 10.5)
-        assert result.groups["setB"][k("cat4")] == CellCounts(0.5, 10.5)
+        assert cells(result.world)[k("cat4")] == (1.0, 21.0)
+        assert cells(result.groups["setA"])[k("cat4")] == (0.5, 10.5)
+        assert cells(result.groups["setB"])[k("cat4")] == (0.5, 10.5)
         assert len(result.notes) == 3
 
     def test_world_zero_single_group(self):
         world = CountProfile("world", {k("f"): CellCounts(0, 6)})
         groups = {"g": CountProfile("g", {k("f"): CellCounts(0, 6)})}
         result = continuity_correct(world, groups)
-        assert result.world[k("f")] == CellCounts(0.5, 6.5)
-        assert result.groups["g"][k("f")] == CellCounts(0.5, 6.5)
+        assert cells(result.world)[k("f")] == (0.5, 6.5)
+        assert cells(result.groups["g"])[k("f")] == (0.5, 6.5)
 
     def test_world_zero_no_groups_present(self):
         world = CountProfile("world", {k("f"): CellCounts(0, 6)})
         result = continuity_correct(world, {})
-        assert result.world[k("f")] == CellCounts(0.5, 6.5)
+        assert cells(result.world)[k("f")] == (0.5, 6.5)
 
     def test_group_zero_world_positive(self):
         world = CountProfile("world", {k("f"): CellCounts(4, 6)})
         groups = {"g": CountProfile("g", {k("f"): CellCounts(0, 3)})}
         result = continuity_correct(world, groups)
-        assert result.world[k("f")] == CellCounts(4, 6)
-        assert result.groups["g"][k("f")] == CellCounts(0.5, 3.5)
+        assert cells(result.world)[k("f")] == (4, 6)
+        assert cells(result.groups["g"])[k("f")] == (0.5, 3.5)
 
     def test_positive_cells_untouched(self):
         world = CountProfile("world", {k("f"): CellCounts(4, 6)})
@@ -278,9 +261,9 @@ class TestContinuityCorrect:
         }
         result = continuity_correct(world, groups)
         total_mentioned = sum(
-            result.groups[name][k("f")].mentioned for name in groups
+            cells(result.groups[name])[k("f")].mentioned for name in groups
         )
-        assert result.world[k("f")].mentioned >= total_mentioned
+        assert cells(result.world)[k("f")].mentioned >= total_mentioned
 
 
 def _interleaved_profiles():
@@ -356,8 +339,8 @@ def test_filter_and_correction_order():
         "stratum j/2010: group 'ref' mentioned cell corrected by 0.5",
         "stratum j/2010: group 'setA' mentioned cell corrected by 0.5",
     )
-    assert corrected.world[k("c")] == CellCounts(1.5, 21.5)
-    assert corrected.groups["setB"][k("j")] == CellCounts(1, 5)
+    assert cells(corrected.world)[k("c")] == (1.5, 21.5)
+    assert cells(corrected.groups["setB"])[k("j")] == (1, 5)
 
 
 def test_group_stratum_absent_from_world_rejected():

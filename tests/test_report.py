@@ -13,7 +13,6 @@ from zinorm import (
     DegenerateComputationError,
     IndicatorKind,
     InputDataError,
-    PublicationRecord,
     ReportConfig,
     build_profiles,
     parse_membership,
@@ -24,6 +23,7 @@ from zinorm import (
 )
 from zinorm.report import result_payload
 from zinorm.indicators import IndicatorResult
+from zinorm.profiles import PublicationRecord, Publications
 
 from conftest import COVERAGE_SPEC, MEMBERSHIP_CSV, PUBLICATIONS_CSV
 
@@ -48,7 +48,7 @@ class TestParsePublications:
             "p1,chem,2010,3",
             "p2,bio,2011,0",
         ]
-        records = parse_publications(lines)
+        records = list(parse_publications(lines))
         assert len(records) == 3
         assert records[0].paper_id == "p1"
         assert records[2].mentions == 0
@@ -125,9 +125,9 @@ class TestParsePublications:
     )
     def test_row_rules_have_one_source(self, row, body):
         paper_id, field_id, year, mentions = row.split(",")
-        with pytest.raises(InputDataError) as record_error:
-            PublicationRecord(paper_id, field_id, int(year), int(mentions))
-        assert str(record_error.value) == body
+        with pytest.raises(InputDataError) as table_error:
+            Publications([paper_id], [field_id], [int(year)], [int(mentions)])
+        assert str(table_error.value) == body
         lines = ["paper_id,field_id,year,mentions", "p0,bio,2010,0", row]
         with pytest.raises(InputDataError) as parse_error:
             parse_publications(lines)
@@ -163,19 +163,13 @@ class TestParsePublications:
             parse_publications(source)
         assert str(error.value) == message
 
-    def test_table_equals_list_of_records(self):
-        lines = ["paper_id,field_id,year,mentions", "p1,bio,2010,1", "p2,chem,2011,0"]
-        records = [PublicationRecord("p1", "bio", 2010, 1), PublicationRecord("p2", "chem", 2011, 0)]
-        assert parse_publications(lines) == records
-        assert parse_publications(lines) != records[:1]
-
     def test_file_and_lines_give_the_same_table(self):
         text = PUBLICATIONS_CSV.read_text(encoding="utf-8")
         from_file = parse_publications(io.StringIO(text))
         from_lines = parse_publications(text.splitlines())
-        assert from_file == from_lines
+        assert list(from_file) == list(from_lines)
         assert list(from_file.line) == list(from_lines.line)
-        assert list(from_file) == [PublicationRecord(*row) for row in from_lines]
+        assert all(type(row) is PublicationRecord for row in from_file)
 
     def test_blank_lines_skipped(self):
         lines = ["paper_id,field_id,year,mentions", "", "p1,bio,2010,1", ""]
@@ -453,6 +447,43 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["groups"] == json.loads(plain.stdout)["groups"]
 
+    def test_table_without_result_rows(self, tmp_path):
+        # With no groups only the world row is reported, and it has no mhq_prime.
+        members = tmp_path / "membership.csv"
+        members.write_text("paper_id,group_id\n")
+        result = run_cli(
+            "compute",
+            "--publications", str(PUBLICATIONS_CSV),
+            "--membership", str(members),
+            "--indicators", "mhq_prime",
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("population  indicator    value")
+        assert "note: mhq_prime is undefined for the world row" in result.stdout
+
+    @pytest.mark.parametrize("which", ["publications", "membership", "spec"])
+    def test_non_utf8_input_exits_2(self, tmp_path, which):
+        path = tmp_path / f"{which}.bad"
+        if which == "spec":
+            path.write_bytes(b'{"seed": 1\xff}')
+            args = ("validity", "--spec", str(path))
+        else:
+            pubs, members = PUBLICATIONS_CSV, MEMBERSHIP_CSV
+            if which == "publications":
+                path.write_bytes(b"paper_id,field_id,year,mentions\np1,bio\xe9,2010,1\n")
+                pubs = path
+            else:
+                path.write_bytes(b"paper_id,group_id\np1,bio\xe9\n")
+                members = path
+            args = (
+                "compute", "--publications", str(pubs), "--membership", str(members),
+                "--indicators", "mhq",
+            )
+        result = run_cli(*args)
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"ERROR: cannot read {which}: 'utf-8' codec can't decode")
+        assert result.stderr.count("\n") == 1
+
     def test_unknown_indicator_exits_2(self):
         result = run_cli(
             "compute",
@@ -582,7 +613,7 @@ class TestCli:
         assert result.stderr == "ERROR: stratum f0/1850: year 1850 outside [1900, 2100]\n"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["coverage", "synth"])
+    @pytest.mark.parametrize("command", ["coverage", "synth", "validity"])
     @pytest.mark.parametrize(
         "spec_doc, message",
         [
@@ -599,13 +630,42 @@ class TestCli:
                 "spec stratum 0: mention_probability must be a number, got 'high'",
             ),
             ([1], "spec must be an object, got [1]"),
+            (
+                {**MALFORMED_BASE, "strata": [{**MALFORMED_STRATUM, "field_id": ""}]},
+                "spec stratum 0: field_id must be non-empty",
+            ),
+            (
+                {**MALFORMED_BASE, "strata": [{**MALFORMED_STRATUM, "field_id": "bio,chem"}]},
+                "stratum 'bio,chem/2000': field_id holds ',', '\"', '\\r' or '\\n'",
+            ),
+            (
+                {**MALFORMED_BASE, "strata": [{**MALFORMED_STRATUM, "field_id": "bio\nchem"}]},
+                "stratum 'bio\\nchem/2000': field_id holds ',', '\"', '\\r' or '\\n'",
+            ),
+            (
+                {**MALFORMED_BASE, "groups": [{"label": "g,1", "sizes": 2, "theta": 2.0}]},
+                "group label 'g,1' is empty, reserved, or holds ':', ',', '\"', '\\r' or '\\n'",
+            ),
+            (
+                {**MALFORMED_BASE, "groups": [{"label": 'g"1', "sizes": 2, "theta": 2.0}]},
+                "group label 'g\"1' is empty, reserved, or holds ':', ',', '\"', '\\r' or '\\n'",
+            ),
         ],
-        ids=["stratum-key", "group-key", "probability", "not-object"],
+        ids=[
+            "stratum-key", "group-key", "probability", "not-object", "field-empty",
+            "field-comma", "field-newline", "label-comma", "label-quote",
+        ],
     )
     def test_malformed_spec_exits_2_naming_entry(self, tmp_path, command, spec_doc, message):
+        # Ids that the CSV files would have to quote are refused, so `synth`
+        # never writes files that `compute` rejects.
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_doc))
-        extra = ["--reps", "100"] if command == "coverage" else ["--out", str(tmp_path / "out")]
+        extra = {
+            "coverage": ["--reps", "100"],
+            "synth": ["--out", str(tmp_path / "out")],
+            "validity": [],
+        }[command]
         result = run_cli(command, "--spec", str(spec), *extra)
         assert result.returncode == 2
         assert result.stderr == f"ERROR: {message}\n"

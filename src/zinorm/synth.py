@@ -27,7 +27,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import compress, repeat
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -197,6 +197,7 @@ class WorldSpec:
                     f"group {group.label!r} has {len(group.sizes)} sizes "
                     f"for {len(self.strata)} strata"
                 )
+        # In Python integers, so that the int64 sums of `sizes` stay in range.
         for index, stratum in enumerate(self.strata):
             allocated = sum(g.sizes[index] for g in self.groups)
             if allocated > stratum.world_size:
@@ -259,17 +260,23 @@ class WorldSpec:
             raise InputDataError(f"spec is not valid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
-    def background_sizes(self) -> tuple[int, ...]:
-        return tuple(
-            stratum.world_size - sum(g.sizes[i] for g in self.groups)
-            for i, stratum in enumerate(self.strata)
-        )
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Papers per stratum, (groups + 1, strata): each group's, then the background's."""
+        groups = np.array([g.sizes for g in self.groups], np.int64).reshape(-1, len(self.strata))
+        world = np.array([s.world_size for s in self.strata], np.int64)
+        sizes = np.vstack([groups, world - groups.sum(axis=0)])
+        sizes.flags.writeable = False
+        return sizes
 
-    def group_probabilities(self, group: GroupSpec) -> tuple[float, ...]:
-        return tuple(
-            group_probability(s.mention_probability, group.theta)
-            for s in self.strata
-        )
+    @cached_property
+    def probabilities(self) -> np.ndarray:
+        """Mention probabilities in the rows of `sizes`; the background's is the world's."""
+        world = [s.mention_probability for s in self.strata]
+        rows = [[group_probability(p, g.theta) for p in world] for g in self.groups]
+        probabilities = np.array([*rows, world], np.float64)
+        probabilities.flags.writeable = False
+        return probabilities
 
 
 def generate_synthetic(spec: WorldSpec) -> tuple[Publications, list[tuple[str, str]]]:
@@ -287,12 +294,11 @@ def generate_synthetic(spec: WorldSpec) -> tuple[Publications, list[tuple[str, s
     years: list[int] = []
     mentions: list[np.ndarray] = []
     pairs: list[tuple[str, str]] = []
-    background, groups = spec.background_sizes(), spec.groups
+    labels = [g.label for g in spec.groups] + ["bg"]
     numbers = [f"{j:05d}" for j in range(max(s.world_size for s in spec.strata))]
-    for i, stratum in enumerate(spec.strata):
-        (field_id, year), p = stratum.key, stratum.mention_probability
-        draws = [(g.label, g.sizes[i], group_probability(p, g.theta)) for g in groups]
-        for label, size, q in [*draws, ("bg", background[i], p)]:
+    for stratum, sizes, probabilities in zip(spec.strata, spec.sizes.T, spec.probabilities.T):
+        field_id, year = stratum.key
+        for label, size, q in zip(labels, sizes.tolist(), probabilities.tolist()):
             if size == 0:
                 continue
             hits = rng.binomial(1, q, size=size)
@@ -342,17 +348,15 @@ def expected_profiles(
     """
     order = sorted(range(len(spec.strata)), key=lambda i: spec.strata[i].key)
     keys = tuple(spec.strata[i].key for i in order)
-    p = np.array([s.mention_probability for s in spec.strata])[order]
-    world = np.array(spec.background_sizes())[order, None] * np.stack([p, 1.0 - p], 1)
+    sizes, q = spec.sizes[:, order], spec.probabilities[:, order]
+    cells = sizes[..., None] * np.stack([q, 1.0 - q], -1)
+    world = cells[-1].copy()
     groups = {}
-    for group in spec.groups:
-        sizes = np.array(group.sizes)[order]
-        q = np.array(spec.group_probabilities(group))[order]
-        cells = sizes[:, None] * np.stack([q, 1.0 - q], 1)
-        world += cells
-        if (held := sizes > 0).any():
+    for group, group_cells, held in zip(spec.groups, cells, sizes > 0):
+        world += group_cells
+        if held.any():
             groups[group.label] = CountProfile._of(
-                group.label, tuple(compress(keys, held)), cells[held]
+                group.label, tuple(compress(keys, held)), group_cells[held]
             )
     return CountProfile._of(WORLD_LABEL, keys, world), groups
 
@@ -381,17 +385,8 @@ def _replication_draws(
     Row k holds replication ``reps[k]``, drawn from its own generator, so
     any block of replications gives the same rows as a larger run.
     """
-    n_strata = len(spec.strata)
-    n_groups = len(spec.groups)
-    sizes = np.array(
-        [g.sizes for g in spec.groups], dtype=np.int64
-    ).reshape(n_groups, n_strata)
-    probs = np.array(
-        [spec.group_probabilities(g) for g in spec.groups]
-    ).reshape(n_groups, n_strata)
-    background = np.array(spec.background_sizes(), dtype=np.int64)
-    base_p = np.array([s.mention_probability for s in spec.strata])
-
+    sizes, probabilities = spec.sizes, spec.probabilities
+    n_groups, n_strata = len(sizes) - 1, sizes.shape[1]
     group_draws = np.empty((n_groups, len(reps), n_strata))
     world_draws = np.empty((len(reps), n_strata))
     for row, i in enumerate(reps):
@@ -400,10 +395,10 @@ def _replication_draws(
         )
         total = np.zeros(n_strata)
         for g in range(n_groups):
-            draws = rng.binomial(sizes[g], probs[g])
+            draws = rng.binomial(sizes[g], probabilities[g])
             group_draws[g, row] = draws
             total += draws
-        world_draws[row] = total + rng.binomial(background, base_p)
+        world_draws[row] = total + rng.binomial(sizes[-1], probabilities[-1])
     return group_draws, world_draws
 
 
@@ -419,14 +414,14 @@ def _replication_estimates(
     """
     group_draws, world_draws = _replication_draws(spec, reps)
     n = np.array([s.world_size for s in spec.strata], dtype=np.float64)
-    present = (np.array([g.sizes for g in spec.groups]) > 0).sum(axis=0)
-    for g, group in enumerate(spec.groups):
-        m = np.array(group.sizes, dtype=np.float64)
+    sizes = spec.sizes[:-1]
+    present = (sizes > 0).sum(axis=0)
+    for group, m, draws in zip(spec.groups, sizes.astype(np.float64), group_draws):
         in_group = m > 0
         if not in_group.any():
             continue
         m = m[in_group]
-        a = group_draws[g][:, in_group]
+        a = draws[:, in_group]
         c = world_draws[:, in_group]
         fixed = group_correction(a, m, c)
         added = world_correction(c, present[in_group])
@@ -489,6 +484,7 @@ def coverage_experiment(spec: WorldSpec, replications: int) -> dict:
         raise InputDataError("coverage requires at least one group")
 
     start = time.perf_counter()
+    # Computes spec.sizes and spec.probabilities once, before the threads share them.
     truths = true_indicator_values(spec, _VALIDITY_KINDS)
     blocks = [
         range(first, min(first + _BLOCK, replications))

@@ -134,7 +134,32 @@ class TestWorldSpec:
             }
         )
         assert spec.groups[0].sizes == (4, 4)
-        assert spec.background_sizes() == (6, 6)
+        assert spec.sizes[-1].tolist() == [6, 6]
+
+    def test_sizes_and_probabilities_rows(self):
+        # A row per group in spec order, then the background at the world's
+        # probability; both arrays are read-only, as the spec is immutable.
+        strata = (
+            StratumSpec(StratumKey("f1", 2001), 10, 0.2),
+            StratumSpec(StratumKey("f0", 2000), 7, 1.0),
+        )
+        groups = (GroupSpec("b", (3, 0), 2.0), GroupSpec("a", (1, 7), 0.5))
+        spec = WorldSpec(seed=1, strata=strata, groups=groups)
+        assert spec.sizes.dtype == np.int64
+        assert spec.sizes.tolist() == [[3, 0], [1, 7], [6, 0]]
+        assert spec.probabilities.tolist() == [
+            [group_probability(0.2, 2.0), 1.0],
+            [group_probability(0.2, 0.5), 1.0],
+            [0.2, 1.0],
+        ]
+        for name in ("sizes", "probabilities"):
+            array = getattr(spec, name)
+            assert getattr(spec, name) is array  # computed once
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 0
+        groupless = WorldSpec(seed=1, strata=strata, groups=())
+        assert groupless.sizes.tolist() == [[10, 7]]
+        assert groupless.probabilities.tolist() == [[0.2, 1.0]]
 
     def test_from_dict_missing_key(self):
         with pytest.raises(InputDataError, match="missing key"):
@@ -156,7 +181,7 @@ class TestWorldSpec:
         )
         spec = WorldSpec.from_json(path)
         assert spec.seed == 11
-        assert spec.group_probabilities(spec.groups[0]) == (0.25,)
+        assert spec.probabilities[0].tolist() == [0.25]
 
     def test_from_json_bad_file(self, tmp_path):
         with pytest.raises(InputDataError, match="cannot read"):
@@ -290,7 +315,7 @@ class TestExpectedProfiles:
         for group in groups:
             held = sorted(key for key, size in zip(keys, group.sizes) if size)
             assert group_profiles[group.label].strata() == tuple(held)
-        background = spec.background_sizes()
+        background = spec.sizes[-1].tolist()
         for i, (key, p) in enumerate(zip(keys, probabilities)):
             mentioned = background[i] * p
             not_mentioned = background[i] * (1.0 - p)

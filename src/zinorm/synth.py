@@ -111,6 +111,12 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
+def _require_str(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise InputDataError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _require_float(value: object, what: str) -> float:
     try:
         return float(value)
@@ -144,6 +150,8 @@ class StratumSpec:
             raise InputDataError(
                 f"stratum {self.key}: world_size must be at least 1"
             )
+        if self.world_size >= 2**63:  # so that `WorldSpec.sizes` holds it in int64
+            raise InputDataError(f"stratum {self.key}: world_size must be less than 2^63")
         if not (0.0 <= self.mention_probability <= 1.0):
             raise InputDataError(
                 f"stratum {self.key}: mention_probability outside [0, 1]"
@@ -220,7 +228,7 @@ class WorldSpec:
             field_id, year, world_size, probability = _fields(
                 what, item, "field_id", "year", "world_size", "mention_probability"
             )
-            field_id = str(field_id)
+            field_id = _require_str(field_id, f"{what}: field_id")
             if not field_id:
                 raise InputDataError(f"{what}: field_id must be non-empty")
             strata.append(
@@ -242,7 +250,7 @@ class WorldSpec:
                 sizes = (_require_int(sizes, f"{what}: size"),) * len(strata)
             groups.append(
                 GroupSpec(
-                    label=str(label),
+                    label=_require_str(label, f"{what}: label"),
                     sizes=sizes,
                     theta=_require_float(theta, f"{what}: theta"),
                 )

@@ -650,10 +650,19 @@ class TestCli:
                 {**MALFORMED_BASE, "groups": [{"label": 'g"1', "sizes": 2, "theta": 2.0}]},
                 "group label 'g\"1' is empty, reserved, or holds ':', ',', '\"', '\\r' or '\\n'",
             ),
+            (
+                {**MALFORMED_BASE, "strata": [{**MALFORMED_STRATUM, "field_id": None}]},
+                "spec stratum 0: field_id must be a string, got None",
+            ),
+            (
+                {**MALFORMED_BASE, "groups": [{"label": 7, "sizes": 2, "theta": 2.0}]},
+                "spec group 0: label must be a string, got 7",
+            ),
         ],
         ids=[
             "stratum-key", "group-key", "probability", "not-object", "field-empty",
-            "field-comma", "field-newline", "label-comma", "label-quote",
+            "field-comma", "field-newline", "label-comma", "label-quote", "field-null",
+            "label-int",
         ],
     )
     def test_malformed_spec_exits_2_naming_entry(self, tmp_path, command, spec_doc, message):
@@ -670,6 +679,16 @@ class TestCli:
         assert result.returncode == 2
         assert result.stderr == f"ERROR: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_world_size_beyond_int64_exits_2(self, tmp_path):
+        # Only through `coverage`: without the bound, `synth` and `validity`
+        # would try to draw 10^20 papers.
+        spec = tmp_path / "spec.json"
+        stratum = {**MALFORMED_STRATUM, "world_size": 10**20}
+        spec.write_text(json.dumps({**MALFORMED_BASE, "strata": [stratum]}))
+        result = run_cli("coverage", "--spec", str(spec), "--reps", "100")
+        assert result.returncode == 2
+        assert result.stderr == "ERROR: stratum f0/2000: world_size must be less than 2^63\n"
 
     def test_info_log_has_ingest_stage_lines(self, tmp_path):
         crlf = tmp_path / "publications.csv"

@@ -2,6 +2,7 @@ import json
 import logging
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +41,9 @@ from zinorm.synth import (
     _replication_estimates,
 )
 
-from conftest import COVERAGE_SPEC, cells
+from conftest import COVERAGE_SPEC, VALIDITY_SPEC, cells
+
+README = Path(__file__).parent.parent / "README.md"
 
 
 def make_spec(seed=7, theta=2.0, p=0.2, world=50, group=10, n_strata=3):
@@ -160,6 +163,25 @@ class TestWorldSpec:
         groupless = WorldSpec(seed=1, strata=strata, groups=())
         assert groupless.sizes.tolist() == [[10, 7]]
         assert groupless.probabilities.tolist() == [[0.2, 1.0]]
+
+    def test_from_dict_requires_string_ids_and_int64_sizes(self):
+        stratum = {"field_id": "f", "year": 2000, "world_size": 10, "mention_probability": 0.1}
+        group = {"label": "g", "sizes": 4, "theta": 2.0}
+        for doc, message in [
+            ({"strata": [{**stratum, "field_id": None}], "groups": []},
+             "spec stratum 0: field_id must be a string, got None"),
+            ({"strata": [stratum], "groups": [{**group, "label": 7}]},
+             "spec group 0: label must be a string, got 7"),
+            ({"strata": [{**stratum, "world_size": 10**20}], "groups": [group]},
+             "stratum f/2000: world_size must be less than 2^63"),
+        ]:
+            with pytest.raises(InputDataError) as caught:
+                WorldSpec.from_dict({"seed": 1, **doc})
+            assert str(caught.value) == message
+        largest = WorldSpec.from_dict(
+            {"seed": 1, "strata": [{**stratum, "world_size": 2**63 - 1}], "groups": [group]}
+        )
+        assert largest.sizes.tolist() == [[4], [2**63 - 5]]
 
     def test_from_dict_missing_key(self):
         with pytest.raises(InputDataError, match="missing key"):
@@ -343,6 +365,39 @@ class TestExpectedProfiles:
         spec = WorldSpec(seed=9, strata=strata, groups=groups)
         truths = true_indicator_values(spec, (IndicatorKind.MHQ,))
         assert truths["lo"]["mhq"] < truths["mid"]["mhq"] < truths["hi"]["mhq"]
+
+
+def test_readme_theta_table_matches_truths():
+    # Each number of the README's table, recomputed from the analytic
+    # truths to its printed decimals, with every group resized to the
+    # column's share of the fixture's strata of 3000 papers.
+    lines = README.read_text(encoding="utf-8").splitlines()
+    first = lines.index("| groups' share of each stratum | 1% | 10% | 30% | 50% |")
+    rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in lines[first + 2 : first + 7]
+    ]
+    raw = json.loads(VALIDITY_SPEC.read_text())
+    for column, share in enumerate((1, 10, 30, 50), 1):
+        doc = {**raw, "groups": [{**g, "sizes": share * 10} for g in raw["groups"]]}
+        truths = true_indicator_values(WorldSpec.from_dict(doc))
+        ratios = {
+            kind: [truths[q][kind] / truths["Q0"][kind] for q in ("Q1", "Q2")]
+            for kind in ("mhq", "mhq_prime", "emnpc", "mnpc")
+        }
+        computed = {
+            "MHq of Q0": [truths["Q0"]["mhq"]],
+            "MHq ratios Q1/Q0, Q2/Q0": ratios["mhq"],
+            "MHq' ratios Q1/Q0, Q2/Q0": ratios["mhq_prime"],
+            "EMNPC ratios Q1/Q0, Q2/Q0": ratios["emnpc"],
+            "MNPC ratios Q1/Q0, Q2/Q0": ratios["mnpc"],
+        }
+        assert [row[0] for row in rows] == list(computed)
+        for row in rows:
+            printed = row[column].split(", ")
+            decimals = [len(number.split(".")[1]) for number in printed]
+            values = computed[row[0]]
+            assert printed == [f"{v:.{d}f}" for v, d in zip(values, decimals)], (row[0], share)
 
 
 class TestCoverageExperiment:

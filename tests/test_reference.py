@@ -161,13 +161,13 @@ def odds_ratios(tables):
     ]
 
 
-def check(indicator, profiles, expected):
+def check(indicator, group_and_world, expected):
     """The indicator matches `expected`, or is degenerate where that is None."""
     if expected is None:
         with pytest.raises(DegenerateComputationError):
-            indicator(*profiles)
+            indicator(*group_and_world)
         return None
-    result = indicator(*profiles)
+    result = indicator(*group_and_world)
     assert_matches(result, expected)
     return result
 

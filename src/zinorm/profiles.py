@@ -17,7 +17,7 @@ import logging
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import compress, count
+from itertools import compress
 from operator import not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -94,6 +94,139 @@ class PublicationRecord(NamedTuple):
 _record = partial(tuple.__new__, PublicationRecord)
 
 
+class _Spans:
+    """Strings as spans of UTF-8 bytes: string i is `buf[start[i]:start[i] + width[i]]`."""
+
+    def __init__(self, buf: np.ndarray, start: np.ndarray, width: np.ndarray):
+        self.buf, self.start, self.width = buf, start, width
+
+    @classmethod
+    def of(cls, strings: Sequence[str]) -> "_Spans":
+        data = "".join(strings).encode("utf-8", "surrogatepass")
+        width = np.fromiter(map(len, strings), np.int64, len(strings))
+        if len(data) != width.sum():  # Not all ASCII: count bytes, not characters.
+            utf8 = (s.encode("utf-8", "surrogatepass") for s in strings)
+            width = np.fromiter(map(len, utf8), np.int64, len(strings))
+        return cls(np.frombuffer(data, np.uint8), np.cumsum(width) - width, width)
+
+    def __len__(self) -> int:
+        return len(self.width)
+
+    def __add__(self, other: "_Spans") -> "_Spans":
+        return _Spans(
+            np.concatenate([self.buf, other.buf]),
+            np.concatenate([self.start, other.start + len(self.buf)]),
+            np.concatenate([self.width, other.width]),
+        )
+
+    def decode(self, rows=slice(None)) -> list[str]:
+        """The strings of `rows`, all by default."""
+        start = self.start[rows]
+        low, stop = start.min(initial=len(self.buf)), start + self.width[rows]
+        data = self.buf[low:stop.max(initial=0)].tobytes()
+        spans = zip((start - low).tolist(), (stop - low).tolist())
+        return [data[begin:end].decode("utf-8", "surrogatepass") for begin, end in spans]
+
+
+def _spans(column: list | _Spans) -> _Spans:
+    return column if isinstance(column, _Spans) else _Spans.of(column)
+
+
+def _strings(column: list | _Spans, rows: slice) -> list[str]:
+    return column.decode(rows) if isinstance(column, _Spans) else column[rows]
+
+
+#: `_MASKS[k]` keeps the first k bytes of a big-endian uint64 word.
+_MASKS = np.array([2**64 - 2 ** (64 - 8 * k) for k in range(9)], np.uint64)
+
+
+def _words(ids: _Spans) -> list[np.ndarray]:
+    """Each id's bytes, padded with zeros to whole words, as big-endian uint64 columns."""
+    padded = np.concatenate([ids.buf, np.zeros(8, np.uint8)])
+    # The eight bytes from each offset, read in place as one word.
+    at = np.ndarray((len(ids.buf) + 1,), ">u8", padded, strides=(1,))
+    words = []
+    for first in range(0, max(int(ids.width.max(initial=0)), 1), 8):
+        word = at[np.minimum(ids.start + first, len(ids.buf))].astype(np.uint64)
+        if (tail := ids.width - first).min(initial=8) < 8:
+            word &= _MASKS[np.clip(tail, 0, 8)]
+        words.append(word)
+    return words
+
+
+def _hash(words: list[np.ndarray], width: np.ndarray) -> np.ndarray:
+    """One uint64 of an id's words and width; equal ids hash equal."""
+    mixed = width.astype(np.uint64)
+    for word in words:
+        mixed = (mixed ^ word) * np.uint64(0x9E3779B97F4A7C15)
+        mixed ^= mixed >> np.uint64(29)
+    return mixed
+
+
+def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes numbering the distinct values of `key` in sorted order, and one row of each."""
+    order = np.argsort(key)
+    ordered = key[order]
+    new = np.empty(len(key), bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    codes = np.empty(len(key), np.intp)
+    codes[order] = np.cumsum(new) - 1
+    return codes, order[new]
+
+
+def _code(ids: _Spans) -> tuple[np.ndarray, np.ndarray]:
+    """The code of each id, equal exactly where the ids are equal, and one row of each code.
+
+    An id's key is its one word, or the hash of its words and width. Each
+    row is checked against a row of its key's code; where any differs (a
+    hash collision, or ids such as ``"p"`` and ``"p\\x00"`` whose padded
+    words agree), the rows of those codes are coded again by an exact sort
+    of their words and widths.
+    """
+    words = _words(ids)
+    codes, rows = _group(words[0] if len(words) == 1 else _hash(words, ids.width))
+    of_code = rows[codes]
+    clash = ids.width != ids.width[of_code]
+    for word in words:
+        clash |= word != word[of_code]
+    if clash.any():
+        suspect = np.flatnonzero(np.isin(codes, codes[clash]))
+        width = ids.width[suspect].astype(np.uint64)
+        exact = np.column_stack([*(word[suspect] for word in words), width])
+        _, within = np.unique(exact, axis=0, return_inverse=True)
+        codes[suspect] = len(rows) + within.ravel()
+        codes, rows = _group(codes)
+    return codes, rows
+
+
+def _sorted_codes(ids: _Spans) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct `ids` and the index of each id among them."""
+    codes, rows = _code(ids)
+    distinct = ids.decode(rows)
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    rank = np.empty(len(order), np.intp)
+    rank[order] = np.arange(len(order))
+    return [distinct[i] for i in order], rank[codes]
+
+
+def _empty(column: list | _Spans) -> np.ndarray:
+    if isinstance(column, _Spans):
+        return column.width == 0
+    return np.fromiter(map(not_, column), bool, len(column))
+
+
+def _first_broken(rules) -> tuple[int, str] | None:
+    """The first row that breaks one of `rules`, (mask, message of row) pairs, and its message.
+
+    Where a row breaks several rules, the first rule's message is given.
+    """
+    if broken := [mask.argmax() for mask, _ in rules if mask.any()]:
+        row = min(broken)
+        return row, next(message(row) for mask, message in rules if mask[row])
+    return None
+
+
 class Publications:
     """Publication rows as columns, checked against the row rules when built.
 
@@ -104,37 +237,57 @@ class Publications:
     `DEFAULT_YEAR_RANGE` or a negative mention count raises
     `InputDataError`, prefixed with ``line N: `` when lines are known.
     Iteration yields the rows as `PublicationRecord`s.
+
+    The two id columns are lists of strings or, from the plain reader,
+    spans of the file's UTF-8 bytes. Nothing is decoded or coded until it
+    is read: `paper_id` is decoded from spans when first read, `fields`
+    and `field_codes` are coded when first read, and `build_profiles`
+    codes the paper ids.
     """
 
-    def __init__(self, paper_id: list, field_id: list, year, mentions, line=None):
-        self.paper_id, self.line = paper_id, line
-        self.fields, self.field_codes = _factorize(field_id)
+    def __init__(self, paper_id, field_id, year, mentions, line=None):
+        self._paper, self._field, self.line = paper_id, field_id, line
         year, mentions = _integers(year), _integers(mentions)
-        rules = (
-            (np.fromiter(map(not_, paper_id), bool, len(paper_id)), lambda i: "empty paper_id"),
-            (np.array([not f for f in self.fields], bool)[self.field_codes], lambda i: "empty field_id"),
+        broken = _first_broken((
+            (_empty(paper_id), lambda i: "empty paper_id"),
+            (_empty(field_id), lambda i: "empty field_id"),
             (years_outside(year), lambda i: year_error(year[i])),
             (mentions < 0, lambda i: f"negative mention count {mentions[i]}"),
-        )
-        if broken := [mask.argmax() for mask, _ in rules if mask.any()]:
-            row = min(broken)
-            message = next(message(row) for mask, message in rules if mask[row])
+        ))
+        if broken:
+            row, message = broken
             raise InputDataError(message if line is None else f"line {line[row]}: {message}")
         if mentions.dtype != np.int64:
             # Only mentioned-or-not is read, so a count past int64 keeps its maximum.
             mentions = np.minimum(mentions, 2**63 - 1).astype(np.int64)
         self.year, self.mentions = year.astype(np.int64, copy=False), mentions
 
+    @cached_property
+    def paper_id(self) -> list[str]:
+        return self._paper.decode() if isinstance(self._paper, _Spans) else self._paper
+
+    @cached_property
+    def _coded_fields(self) -> tuple[list[str], np.ndarray]:
+        return _sorted_codes(_spans(self._field))
+
+    @property
+    def fields(self) -> list[str]:
+        return self._coded_fields[0]
+
+    @property
+    def field_codes(self) -> np.ndarray:
+        return self._coded_fields[1]
+
     def __len__(self) -> int:
-        return len(self.paper_id)
+        return len(self._paper)
 
     def __iter__(self) -> Iterator[PublicationRecord]:
-        # In blocks, so that no column is held as a full list of Python ints.
+        # In blocks, so that no column is held whole as Python objects.
         for start in range(0, len(self), 1 << 16):
             block = slice(start, start + (1 << 16))
-            field_ids = map(self.fields.__getitem__, self.field_codes[block].tolist())
+            ids = _strings(self._paper, block), _strings(self._field, block)
             columns = self.year[block].tolist(), self.mentions[block].tolist()
-            yield from map(_record, zip(self.paper_id[block], field_ids, *columns))
+            yield from map(_record, zip(*ids, *columns))
 
 
 class CountProfile:
@@ -245,17 +398,6 @@ def _integers(values) -> np.ndarray:
     return array if array.dtype.kind in "iu" else np.array(values, object)
 
 
-def _codes(index: Mapping, values: list) -> np.ndarray:
-    """The integer code that `index` gives each of `values`."""
-    return np.fromiter(map(index.__getitem__, values), np.intp, len(values))
-
-
-def _factorize(values: list) -> tuple[list, np.ndarray]:
-    """The sorted distinct `values` and the index of each value among them."""
-    distinct = sorted(set(values))
-    return distinct, _codes(dict(zip(distinct, count())), values)
-
-
 class Profiles(tuple):
     """`(world, groups)`, with the `papers` and membership `pairs` counted distinct."""
 
@@ -297,51 +439,58 @@ def build_profiles(
         reserved world label.
     """
     start = time.perf_counter()
-    year_values, year_codes = np.unique(table.year, return_inverse=True)
-    _, first_rows, stratum_codes = np.unique(
-        table.field_codes * len(year_values) + year_codes,
-        return_index=True,
-        return_inverse=True,
-    )
+    # Years lie in `DEFAULT_YEAR_RANGE`, so a field and a year make one code.
+    low, high = DEFAULT_YEAR_RANGE
+    stratum_codes, first_rows = _group(table.field_codes * (high - low + 1) + (table.year - low))
     field_ids = map(table.fields.__getitem__, table.field_codes[first_rows].tolist())
     keys = tuple(map(StratumKey, field_ids, table.year[first_rows].tolist()))
-    # A paper's code is the index of its first row.
-    paper_index: dict[str, int] = {}
-    paper_codes = np.fromiter(
-        map(paper_index.setdefault, table.paper_id, count()), np.intp, len(table)
-    )
     unmentioned = table.mentions == 0
 
-    # Rows sorted by paper and stratum: a repeated row follows its first one.
+    # The table's and the memberships' paper ids, coded together.
+    member_ids = [paper_id for paper_id, _ in memberships]
+    paper_ids = _spans(table._paper) + _Spans.of(member_ids)
+    paper_codes, of_paper = _code(paper_ids)
+    paper_codes, member_papers = paper_codes[: len(table)], paper_codes[len(table):]
+    per_paper = np.bincount(paper_codes, minlength=len(of_paper))
+
+    # Rows sorted by paper and stratum: a repeated row is next to its first one.
     assignments = paper_codes * len(keys) + stratum_codes
-    by_paper = np.argsort(assignments, kind="stable")
-    if len(repeated := by_paper[1:][np.diff(assignments[by_paper]) == 0]):
-        row = repeated.min()
+    by_paper = np.argsort(assignments)
+    ordered = assignments[by_paper]
+    if (ordered[1:] == ordered[:-1]).any():
+        repeated = np.ones(len(table), bool)
+        repeated[np.unique(assignments, return_index=True)[1]] = False
+        row = repeated.argmax()
         raise InputDataError(
-            f"paper {table.paper_id[row]!r} assigned to stratum "
+            f"paper {paper_ids.decode([row])[0]!r} assigned to stratum "
             f"{keys[stratum_codes[row]]} more than once"
         )
     cells = np.bincount(stratum_codes * 2 + unmentioned, minlength=2 * len(keys))
     world = CountProfile._of(WORLD_LABEL, keys, cells.reshape(-1, 2).astype(float))
 
-    pairs = dict.fromkeys(memberships)
-    for paper_id, group_id in pairs:
-        if not group_id:
-            raise InputDataError("membership row has empty group_id")
-        if group_id == WORLD_LABEL:
-            raise InputDataError(
-                f"group label {WORLD_LABEL!r} is reserved for the world profile"
-            )
-        if paper_id not in paper_index:
-            raise InputDataError(f"membership references unknown paper {paper_id!r}")
+    group_ids = _Spans.of([group_id for _, group_id in memberships])
+    labels, member_groups = _sorted_codes(group_ids)
+    reserved = np.array([label == WORLD_LABEL for label in labels], bool)
+    broken = _first_broken((
+        (group_ids.width == 0, lambda i: "membership row has empty group_id"),
+        (
+            reserved[member_groups],
+            lambda i: f"group label {WORLD_LABEL!r} is reserved for the world profile",
+        ),
+        (
+            per_paper[member_papers] == 0,
+            lambda i: f"membership references unknown paper {member_ids[i]!r}",
+        ),
+    ))
+    if broken:
+        raise InputDataError(broken[1])
+    pairs = np.unique(member_papers * len(labels) + member_groups)
     if duplicates := len(memberships) - len(pairs):
         logger.warning("collapsed %d duplicate membership pair(s)", duplicates)
 
     # Pair each membership with every row of its paper, reading the
     # paper's run of rows from the rows sorted by paper.
-    labels, member_groups = _factorize([group_id for _, group_id in pairs])
-    member_papers = _codes(paper_index, [paper_id for paper_id, _ in pairs])
-    per_paper = np.bincount(paper_codes)
+    member_papers, member_groups = np.divmod(pairs, len(labels))
     reps = per_paper[member_papers]
     shift = np.cumsum(per_paper)[member_papers] - np.cumsum(reps)
     rows = by_paper[np.arange(reps.sum()) + np.repeat(shift, reps)]
@@ -364,7 +513,7 @@ def build_profiles(
         "profiles.build_profiles %.3f s, %d rows in, %d strata out",
         time.perf_counter() - start, len(table), len(keys),
     )
-    return Profiles(world, groups, len(paper_index), len(pairs))
+    return Profiles(world, groups, int(np.count_nonzero(per_paper)), len(pairs))
 
 
 def apply_filters(

@@ -42,6 +42,7 @@ from .profiles import (
     CountProfile,
     FilterConfig,
     Publications,
+    _Spans,
     apply_filters,
     build_profiles,
     continuity_correct,
@@ -65,41 +66,53 @@ def _parse_int(raw: str, line: int, what: str) -> int:
         ) from None
 
 
+def _digits(buf: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    """The numbers written as the `width` bytes before each `stop`, or None if one is not a digit."""
+    value = np.zeros(len(stop), np.int64)
+    for place in range(int(width.max())):
+        digit = buf.take(stop - 1 - place, mode="clip").astype(np.int64) - ord("0")
+        digit[width <= place] = 0
+        if ((digit < 0) | (digit > 9)).any():
+            return None
+        value += digit * 10**place
+    return value
+
+
 def _plain_publications(text: str) -> Publications | str:
     """The table of a plain publications `text`, or why it is not plain.
 
     A plain text is the header line and then lines of four fields, with no
     quote character and no carriage return, whose years and mention counts
     are 1 to 18 ASCII digits. The csv module and `int()` read such a text
-    as `str.split` and numpy do.
+    as its commas, newlines and digit bytes do; the ids stay spans of its
+    UTF-8 bytes.
     """
     head = ",".join(PUBLICATION_HEADER) + "\n"
     if '"' in text or "\r" in text:
         return "quote or carriage return"
     if not text.startswith(head) or text == head:
         return "header or no data rows"
-    body = text[len(head):] + ("" if text.endswith("\n") else "\n")
+    data = text.encode("utf-8", "surrogatepass") + (b"" if text.endswith("\n") else b"\n")
     # Newlines and commas are single bytes in UTF-8, so bytes locate them.
-    buf = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    buf = np.frombuffer(data, np.uint8, offset=len(head))
     ends, commas = np.flatnonzero(buf == ord("\n")), np.flatnonzero(buf == ord(","))
     if len(commas) != 3 * len(ends):
         return "field count"
-    # With three commas per line, each line holds its own three when no
-    # field has a negative width.
-    width = np.diff(np.column_stack([np.r_[-1, ends[:-1]], commas.reshape(-1, 3), ends])) - 1
-    del buf, ends, commas
-    if width.min() < 0:
+    # Field j of each line runs from start[j] up to stop[j], its line's j-th
+    # comma or its newline. With three commas per line, each line holds its
+    # own three when no field has a negative width.
+    stop = [commas[0::3], commas[1::3], commas[2::3], ends]
+    start = [np.r_[0, ends[:-1] + 1], *(comma + 1 for comma in stop[:3])]
+    width = [after - before for before, after in zip(start, stop)]
+    if min(map(np.min, width)) < 0:
         return "field count"
-    if width[:, 2:].min() < 1 or width[:, 2:].max() > 18:
+    if min(map(np.min, width[2:])) < 1 or max(map(np.max, width[2:])) > 18:
         return "year or mentions width"
-    del width
-    fields = body.replace("\n", ",").split(",")
-    del body, fields[-1]
-    digits = "".join(fields[2::4]) + "".join(fields[3::4])
-    if not (digits.isascii() and digits.isdigit()):
+    year, mentions = (_digits(buf, stop[j], width[j]) for j in (2, 3))
+    if year is None or mentions is None:
         return "year or mentions not plain digits"
-    year, mentions = (np.fromstring(" ".join(fields[i::4]), np.int64, sep=" ") for i in (2, 3))
-    return Publications(fields[0::4], fields[1::4], year, mentions, range(2, len(year) + 2))
+    paper_id, field_id = (_Spans(buf, start[j], width[j]) for j in (0, 1))
+    return Publications(paper_id, field_id, year, mentions, range(2, len(year) + 2))
 
 
 def _csv_rows(lines: Iterable[str], header: list[str], what: str) -> Iterator:
@@ -156,7 +169,8 @@ def parse_publications(lines: Iterable[str]) -> Publications:
     `Publications` raises `InputDataError` naming the first offending
     line; within a line, the first two come before the rules.
     Duplicate assignments are found by `build_profiles`. A file that the
-    csv module would read as a plain split is split in one pass.
+    csv module would read as a plain split is read from its bytes in one
+    pass.
     """
     start = time.perf_counter()
     text = lines.read() if hasattr(lines, "read") else None

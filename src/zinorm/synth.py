@@ -118,10 +118,12 @@ def _require_str(value: object, what: str) -> str:
 
 
 def _require_float(value: object, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputDataError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise InputDataError(f"{what} must be a number, got {value!r}") from None
+    except OverflowError:  # An integer past the float range reads as infinite.
+        return math.inf if value > 0 else -math.inf
 
 
 def _fields(what: str, entry: object, *keys: str) -> list:

@@ -6,19 +6,25 @@ reads that table, without changing it, so a deletion that breaks the
 benchmark fails here too. A traced `compute` run checks that the report
 pipeline still calls each layer by a name the tracer rebinds, and a small
 `refilter` run checks that the library session the benchmark times still
-sets up and passes its oracle.
+sets up and passes its oracle. The benchmark's 1.1M-row report input,
+written small, must take the plain reader: a silent fall-back to the csv
+reader would still pass every check but the benchmark's time.
 """
 
 import importlib
 import importlib.util
 import json
+import logging
 import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import zinorm
+from zinorm.indicators import IndicatorKind
+from zinorm.report import ReportConfig, render_json, run_report
 
 from test_golden import CASES, GOLDEN, ROOT, source_env
 
@@ -93,3 +99,31 @@ def test_refilter_worker_passes_the_oracle(tmp_path, monkeypatch):
     for config, outcome in zip(worker.CONFIGS, doc["configs"]):
         _, _, problems = oracle.check_refilter_config(outcome, cells, config)
         assert problems == [], config
+
+
+def test_report_world_takes_the_plain_reader(tmp_path, monkeypatch, caplog):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    worlds = importlib.import_module("worlds")
+    worlds.report_world(tmp_path, 1, 0.01)
+    publications = tmp_path / "publications.csv"
+    with caplog.at_level(logging.INFO, logger="zinorm.report"):
+        with open(publications, newline="", encoding="utf-8") as fh:
+            fast = zinorm.parse_publications(fh)
+    assert "reader fast" in caplog.text
+    with open(publications, newline="", encoding="utf-8") as fh:
+        slow = zinorm.parse_publications(list(fh))  # lines, not a file: the csv reader
+    assert (fast.paper_id, fast.fields, list(fast.line)) == (slow.paper_id, slow.fields, list(slow.line))
+    for column in ("field_codes", "year", "mentions"):
+        assert np.array_equal(getattr(fast, column), getattr(slow, column))
+
+    config = ReportConfig(
+        publications=publications,
+        membership=tmp_path / "membership.csv",
+        indicators=tuple(IndicatorKind),
+        compare=(("g00", "g01"), ("g01", "g02"), ("g02", "g03")),
+    )
+    plain = render_json(run_report(config))
+    monkeypatch.setattr(zinorm.report, "_plain_publications", lambda text: "declined")
+    with caplog.at_level(logging.INFO, logger="zinorm.report"):
+        assert render_json(run_report(config)) == plain
+    assert "reader csv (declined)" in caplog.text

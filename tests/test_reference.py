@@ -6,6 +6,11 @@ with their intervals (Haunschild & Bornmann 2018), are summed here in exact
 `Fraction` arithmetic, stratum by stratum. Only the square roots, the
 exponentials and the 1.96 quantile are taken at the end, in floats: for
 MNPC, at the end of each stratum's interval.
+
+The overlap verdicts are checked against the Cumming & Finch (2005, Am.
+Psychol. 60:170) rules, restated here in `Fraction` arithmetic at their
+boundaries, on intervals whose endpoints are dyadic so that every float
+in them is exact.
 """
 
 import math
@@ -19,12 +24,17 @@ from hypothesis import strategies as st
 from zinorm import (
     CountProfile,
     DegenerateComputationError,
+    IndicatorKind,
+    IndicatorResult,
+    OverlapCategory,
     StratumKey,
+    classify_overlap,
     emnpc,
     mhq,
     mhq_prime,
     mnpc,
 )
+from zinorm.overlap import TOUCH_TOLERANCE
 
 
 def mh_reference(tables):
@@ -223,3 +233,94 @@ def test_emnpc_and_mnpc_references_on_hand_sums():
     assert mnpc_reference([(2, 2, 4, 12)]) == pytest.approx(expected, rel=1e-15)
     # A world-only stratum at p 1/4 leaves the world's mean proportion at 1/4.
     assert emnpc_reference([(2, 2, 4, 12)], [(1, 3)])[0] == 2.0
+
+
+def overlap_reference(a, b):
+    """Category, overlap proportion, arm ratio and caveat by Cumming & Finch.
+
+    `a` and `b` are (value, lower, upper). The lower-valued interval's
+    upper arm faces the other's lower arm. Intervals that touch (overlap
+    within `TOUCH_TOLERANCE` of 0) mean p about .01, and a gap p < .01. An
+    overlap of at most half the mean of the facing arms means p < .05, and
+    more is not significant. The rules hold only for facing arms that
+    differ by no more than a factor of 2.
+    """
+    lo, hi = sorted(tuple(map(Fraction, interval)) for interval in (a, b))
+    arm_lo, arm_hi = lo[2] - lo[0], hi[0] - hi[1]
+    overlap = min(lo[2], hi[2]) - max(lo[1], hi[1])
+    proportion = overlap / ((arm_lo + arm_hi) / 2)
+    if overlap < -Fraction(TOUCH_TOLERANCE):
+        category = OverlapCategory.GAP
+    elif overlap <= Fraction(TOUCH_TOLERANCE):
+        category = OverlapCategory.TOUCH
+    elif proportion <= Fraction(1, 2):
+        category = OverlapCategory.MODERATE
+    else:
+        category = OverlapCategory.SUBSTANTIAL
+    ratio = max(arm_lo, arm_hi) / min(arm_lo, arm_hi)
+    return category, proportion, ratio, ratio > 2
+
+
+@st.composite
+def facing_intervals(draw):
+    """Two intervals on a grid of `unit` whose facing arms meet a rule boundary or not.
+
+    The overlap is 0, 2^-31 or 2^-29 off 0 (either side of
+    `TOUCH_TOLERANCE`), exactly half the mean facing arm, or any
+    multiple of the unit short of the two facing arms, so that `hi` keeps
+    the higher value; the facing arms are in ratio exactly 2 or any.
+    """
+    unit = Fraction(1, 2 ** draw(st.integers(0, 6)))
+    arm_lo = draw(st.integers(1, 40))
+    arm_hi = draw(st.sampled_from([2 * arm_lo, arm_lo // 2 or 1, draw(st.integers(1, 40))]))
+    overlap = draw(
+        st.sampled_from(
+            [
+                Fraction(0),
+                Fraction(1, 2**31), -Fraction(1, 2**31),
+                Fraction(1, 2**29), -Fraction(1, 2**29),
+                (arm_lo + arm_hi) * unit / 4,
+                draw(st.integers(-40, arm_lo + arm_hi - 1)) * unit,
+            ]
+        )
+    )
+    value = draw(st.integers(41, 200)) * unit
+    lo = (value, value - draw(st.integers(0, 40)) * unit, value + arm_lo * unit)
+    lower = lo[2] - overlap
+    hi = (lower + arm_hi * unit, lower, lower + (arm_hi + draw(st.integers(0, 40))) * unit)
+    return [tuple(map(float, interval)) for interval in draw(st.permutations([lo, hi]))]
+
+
+@given(facing_intervals())
+@settings(max_examples=500)
+def test_overlap_matches_cumming_finch_rules(intervals):
+    a, b = (IndicatorResult(IndicatorKind.MHQ, *interval, 1) for interval in intervals)
+    category, proportion, ratio, caveat = overlap_reference(*intervals)
+    verdict = classify_overlap(a, b)
+    assert (verdict.category, verdict.caveat) == (category, caveat)
+    # Every float operation on these endpoints is exact until the last
+    # division, which rounds correctly.
+    assert (verdict.overlap_proportion, verdict.arm_ratio) == (float(proportion), float(ratio))
+
+
+@pytest.mark.parametrize(
+    "overlap, arm_hi, category, caveat",
+    [
+        (0.0, 0.5, OverlapCategory.TOUCH, False),
+        (2.0**-31, 0.5, OverlapCategory.TOUCH, False),
+        (-(2.0**-31), 0.5, OverlapCategory.TOUCH, False),
+        (-(2.0**-29), 0.5, OverlapCategory.GAP, False),
+        (2.0**-29, 0.5, OverlapCategory.MODERATE, False),
+        (0.1875, 0.5, OverlapCategory.MODERATE, False),  # proportion 0.375 / 0.75 = 0.5
+        (0.1875 + 2.0**-20, 0.5, OverlapCategory.SUBSTANTIAL, False),
+        (0.125, 0.5 + 2.0**-20, OverlapCategory.MODERATE, True),  # arm ratio just over 2
+    ],
+)
+def test_overlap_at_each_boundary(overlap, arm_hi, category, caveat):
+    # The facing arms are 0.25 and `arm_hi`: ratio exactly 2 at 0.5.
+    lo = (1.0, 0.75, 1.25)
+    lower = 1.25 - overlap
+    hi = (lower + arm_hi, lower, lower + arm_hi + 0.25)
+    assert overlap_reference(lo, hi)[::3] == (category, caveat)
+    verdict = classify_overlap(*(IndicatorResult(IndicatorKind.MHQ, *i, 1) for i in (lo, hi)))
+    assert (verdict.category, verdict.caveat) == (category, caveat)

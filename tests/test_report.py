@@ -658,11 +658,19 @@ class TestCli:
                 {**MALFORMED_BASE, "groups": [{"label": 7, "sizes": 2, "theta": 2.0}]},
                 "spec group 0: label must be a string, got 7",
             ),
+            (
+                {**MALFORMED_BASE, "strata": [{**MALFORMED_STRATUM, "mention_probability": "0.5"}]},
+                "spec stratum 0: mention_probability must be a number, got '0.5'",
+            ),
+            (
+                {**MALFORMED_BASE, "groups": [{"label": "g", "sizes": 2, "theta": True}]},
+                "spec group 0: theta must be a number, got True",
+            ),
         ],
         ids=[
             "stratum-key", "group-key", "probability", "not-object", "field-empty",
             "field-comma", "field-newline", "label-comma", "label-quote", "field-null",
-            "label-int",
+            "label-int", "probability-string", "theta-bool",
         ],
     )
     def test_malformed_spec_exits_2_naming_entry(self, tmp_path, command, spec_doc, message):

@@ -183,6 +183,28 @@ class TestWorldSpec:
         )
         assert largest.sizes.tolist() == [[4], [2**63 - 5]]
 
+    def test_from_dict_requires_json_numbers(self):
+        stratum = {"field_id": "f", "year": 2000, "world_size": 10, "mention_probability": 0.1}
+        group = {"label": "g", "sizes": 4, "theta": 2.0}
+        for doc, message in [
+            ({"strata": [{**stratum, "mention_probability": "0.5"}], "groups": []},
+             "spec stratum 0: mention_probability must be a number, got '0.5'"),
+            ({"strata": [stratum], "groups": [{**group, "theta": True}]},
+             "spec group 0: theta must be a number, got True"),
+            ({"strata": [stratum], "groups": [{**group, "theta": None}]},
+             "spec group 0: theta must be a number, got None"),
+            # A JSON integer past the float range is infinite, not a traceback.
+            ({"strata": [stratum], "groups": [{**group, "theta": 10**400}]},
+             "group 'g': theta must be positive and finite"),
+        ]:
+            with pytest.raises(InputDataError) as caught:
+                WorldSpec.from_dict({"seed": 1, **doc})
+            assert str(caught.value) == message
+        spec = WorldSpec.from_dict(
+            {"seed": 1, "strata": [{**stratum, "mention_probability": 0}], "groups": [{**group, "theta": 3}]}
+        )
+        assert (spec.strata[0].mention_probability, spec.groups[0].theta) == (0.0, 3.0)
+
     def test_from_dict_missing_key(self):
         with pytest.raises(InputDataError, match="missing key"):
             WorldSpec.from_dict({"strata": []})

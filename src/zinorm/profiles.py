@@ -109,8 +109,25 @@ class _Spans:
             width = np.fromiter(map(len, utf8), np.int64, len(strings))
         return cls(np.frombuffer(data, np.uint8), np.cumsum(width) - width, width)
 
+    @classmethod
+    def digits(cls, values: np.ndarray, pad: int = 1) -> "_Spans":
+        """Non-negative int64 `values` in decimal, zero-padded to at least `pad` digits."""
+        width = np.maximum(np.searchsorted(_POWERS_OF_TEN, values, "right") + 1, pad)
+        places = int(width.max(initial=pad))
+        digits = np.empty((len(values), places), np.uint8)
+        for place in range(places - 1, -1, -1):
+            quotient = values // 10
+            digits[:, place] = values - 10 * quotient
+            values = quotient
+        digits += ord("0")
+        return cls(digits.reshape(-1), np.arange(len(width)) * places + places - width, width)
+
     def __len__(self) -> int:
         return len(self.width)
+
+    def __getitem__(self, rows) -> "_Spans":
+        """The spans of `rows`, over the same buffer."""
+        return _Spans(self.buf, self.start[rows], self.width[rows])
 
     def __add__(self, other: "_Spans") -> "_Spans":
         return _Spans(
@@ -134,6 +151,66 @@ def _spans(column: list | _Spans) -> _Spans:
 
 def _strings(column: list | _Spans, rows: slice) -> list[str]:
     return column.decode(rows) if isinstance(column, _Spans) else column[rows]
+
+
+#: 10, 100, ..., 10**18: an int64 below ``_POWERS_OF_TEN[k]`` has at most k + 1 digits.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+#: The four digits of each year in `DEFAULT_YEAR_RANGE`, back to back.
+_YEAR_DIGITS = np.frombuffer(
+    "".join(map(str, range(DEFAULT_YEAR_RANGE[0], DEFAULT_YEAR_RANGE[1] + 1))).encode(), np.uint8
+)
+
+#: Rows encoded at a time, so that no encoder temporary grows with the table.
+_BLOCK_ROWS = 1 << 16
+
+
+def _blocks(rows: int) -> Iterator[slice]:
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, rows, _BLOCK_ROWS))
+
+
+def _items(buf: np.ndarray, width: int) -> np.ndarray:
+    """The `width` bytes of `buf` from each offset, as one void item per offset, in place."""
+    return np.ndarray((len(buf) - width + 1,), np.dtype((np.void, width)), buf, strides=(1,))
+
+
+def _put(out: np.ndarray, at: np.ndarray, columns: Sequence[_Spans], ends: bytes = b"") -> None:
+    """Write row i of `columns` from ``out[at[i]]`` on.
+
+    A row is its spans in turn, each followed by its byte of `ends`, if
+    any. Each column is copied with one gather and one scatter per distinct
+    span width, moving each span as one item.
+    """
+    at = at.copy()
+    for k, column in enumerate(columns):
+        count = np.bincount(column.width)
+        for width in (np.flatnonzero(count[1:]) + 1).tolist():
+            rows = slice(None) if count[width] == len(at) else column.width == width
+            _items(out, width)[at[rows]] = _items(column.buf, width)[column.start[rows]]
+        at += column.width
+        if ends:
+            out[at] = ends[k]
+            at += 1
+
+
+def _lines(columns: Sequence[_Spans], ends: bytes) -> np.ndarray:
+    """The rows of `columns` back to back as UTF-8 bytes, each span followed by its byte of `ends`.
+
+    A span that is not UTF-8 (a lone surrogate, which `_Spans.of` lets
+    through) raises `InputDataError`.
+    """
+    width = sum(column.width for column in columns) + len(ends)
+    stop = np.cumsum(width)
+    out = np.empty(int(stop[-1]) if len(stop) else 0, np.uint8)
+    _put(out, stop - width, columns, ends)
+    if out.max(initial=0) >= 0x80:
+        try:
+            str(out.data, "utf-8")
+        except UnicodeDecodeError as exc:
+            row = np.searchsorted(stop, exc.start, "right")
+            text = str(out[stop[row] - width[row]:stop[row] - 1].data, "utf-8", "surrogatepass")
+            raise InputDataError(f"{text!r} does not encode as UTF-8") from None
+    return out
 
 
 #: `_MASKS[k]` keeps the first k bytes of a big-endian uint64 word.
@@ -238,11 +315,11 @@ class Publications:
     `InputDataError`, prefixed with ``line N: `` when lines are known.
     Iteration yields the rows as `PublicationRecord`s.
 
-    The two id columns are lists of strings or, from the plain reader,
-    spans of the file's UTF-8 bytes. Nothing is decoded or coded until it
-    is read: `paper_id` is decoded from spans when first read, `fields`
-    and `field_codes` are coded when first read, and `build_profiles`
-    codes the paper ids.
+    The two id columns are lists of strings or, from the plain reader and
+    `generate_synthetic`, spans of UTF-8 bytes. Nothing is decoded or coded
+    until it is read: `paper_id` is decoded from spans when first read,
+    `fields` and `field_codes` are coded when first read, `build_profiles`
+    codes the paper ids, and `write_synthetic` writes the spans' bytes.
     """
 
     def __init__(self, paper_id, field_id, year, mentions, line=None):
@@ -288,6 +365,16 @@ class Publications:
             ids = _strings(self._paper, block), _strings(self._field, block)
             columns = self.year[block].tolist(), self.mentions[block].tolist()
             yield from map(_record, zip(*ids, *columns))
+
+    def _span_columns(self, rows: slice) -> list[_Spans]:
+        """The four columns of `rows` as spans, the year and mentions in decimal."""
+        year = self.year[rows]
+        return [
+            _spans(self._paper[rows]),
+            _spans(self._field[rows]),
+            _Spans(_YEAR_DIGITS, 4 * (year - DEFAULT_YEAR_RANGE[0]), np.full(len(year), 4)),
+            _Spans.digits(self.mentions[rows]),
+        ]
 
 
 class CountProfile:

@@ -28,7 +28,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -49,6 +49,10 @@ from .profiles import (
     FilterConfig,
     Publications,
     StratumKey,
+    _Spans,
+    _blocks,
+    _lines,
+    _put,
     apply_filters,
     build_profiles,
     group_correction,
@@ -126,6 +130,15 @@ def _require_float(value: object, what: str) -> float:
         return math.inf if value > 0 else -math.inf
 
 
+def _encodes(text: str) -> bool:
+    """Whether `text` encodes as UTF-8, which a lone surrogate does not."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _fields(what: str, entry: object, *keys: str) -> list:
     """The values of `keys` in a spec entry; errors name the entry as `what`."""
     if not isinstance(entry, Mapping):
@@ -146,6 +159,8 @@ class StratumSpec:
             raise InputDataError(
                 f"stratum {str(self.key)!r}: field_id holds {_QUOTED_NAMES}"
             )
+        if not _encodes(self.key.field_id):
+            raise InputDataError(f"stratum {str(self.key)!r}: field_id does not encode as UTF-8")
         if years_outside(self.key.year):
             raise InputDataError(f"stratum {self.key}: {year_error(self.key.year)}")
         if self.world_size < 1:
@@ -172,6 +187,8 @@ class GroupSpec:
             raise InputDataError(
                 f"group label {label!r} is empty, reserved, or holds ':', {_QUOTED_NAMES}"
             )
+        if not _encodes(label):
+            raise InputDataError(f"group label {label!r} does not encode as UTF-8")
         if any(size < 0 for size in self.sizes):
             raise InputDataError(f"group {self.label!r} has a negative size")
         if not (math.isfinite(self.theta) and self.theta > 0):
@@ -289,6 +306,18 @@ class WorldSpec:
         return probabilities
 
 
+def _numbered(prefixes: list[str], counts: np.ndarray) -> _Spans:
+    """Each prefix followed by 0, 1, ..., its count - 1, zero-padded to five digits, in turn."""
+    block = np.repeat(np.arange(len(counts)), counts)
+    index = np.arange(len(block)) - (np.cumsum(counts) - counts)[block]
+    prefix, number = _Spans.of(prefixes), _Spans.digits(np.arange(counts.max(initial=0)), pad=5)
+    width = prefix.width[block] + number.width[index]
+    ids = _Spans(np.empty(width.sum(), np.uint8), np.cumsum(width) - width, width)
+    for rows in _blocks(len(ids)):
+        _put(ids.buf, ids.start[rows], [prefix[block[rows]], number[index[rows]]])
+    return ids
+
+
 def generate_synthetic(spec: WorldSpec) -> tuple[Publications, list[tuple[str, str]]]:
     """Draw one synthetic world from `spec.seed`; identical specs give identical output.
 
@@ -296,30 +325,29 @@ def generate_synthetic(spec: WorldSpec) -> tuple[Publications, list[tuple[str, s
     odds-scaled probability (background papers use the world probability);
     mentioned papers get a positive mention count, unmentioned papers 0.
     Paper ids encode group, stratum, and index, so output order and bytes
-    are deterministic.
+    are deterministic. The table holds its ids as spans of UTF-8 bytes.
     """
     rng = np.random.default_rng(spec.seed)
-    paper_ids: list[str] = []
-    field_ids: list[str] = []
-    years: list[int] = []
     mentions: list[np.ndarray] = []
-    pairs: list[tuple[str, str]] = []
+    for sizes, probabilities in zip(spec.sizes.T.tolist(), spec.probabilities.T.tolist()):
+        for size, q in zip(sizes, probabilities):
+            if size:
+                hits = rng.binomial(1, q, size=size)
+                mentions.append(hits * (1 + rng.poisson(1.0, size=size)))
+    # Rows run stratum by stratum, and within a stratum group by group, then the background.
     labels = [g.label for g in spec.groups] + ["bg"]
-    numbers = [f"{j:05d}" for j in range(max(s.world_size for s in spec.strata))]
-    for stratum, sizes, probabilities in zip(spec.strata, spec.sizes.T, spec.probabilities.T):
-        field_id, year = stratum.key
-        for label, size, q in zip(labels, sizes.tolist(), probabilities.tolist()):
-            if size == 0:
-                continue
-            hits = rng.binomial(1, q, size=size)
-            mentions.append(hits * (1 + rng.poisson(1.0, size=size)))
-            ids = list(map(f"{label}:{field_id}:{year}:".__add__, numbers[:size]))
-            paper_ids += ids
-            field_ids += repeat(field_id, size)
-            years += repeat(year, size)
-            if label != "bg":
-                pairs += zip(ids, repeat(label))
-    return Publications(paper_ids, field_ids, years, np.concatenate(mentions)), pairs
+    counts = spec.sizes.T.ravel()
+    prefixes = [f"{label}:{s.key.field_id}:{s.key.year}:" for s in spec.strata for label in labels]
+    paper_id = _numbered(prefixes, counts)
+    stratum = np.repeat(np.arange(len(spec.strata)), [s.world_size for s in spec.strata])
+    field_id = _Spans.of([s.key.field_id for s in spec.strata])[stratum]
+    year = np.array([s.key.year for s in spec.strata])[stratum]
+    # The groups' paper ids, decoded at once from their lines: no id holds a newline.
+    in_group = np.repeat(np.arange(len(counts)) % len(labels) < len(spec.groups), counts)
+    member_ids = str(_lines([paper_id[in_group]], b"\n").data, "utf-8").split("\n")[:-1]
+    members = map(repeat, labels[:-1] * len(spec.strata), spec.sizes[:-1].T.ravel().tolist())
+    pairs = list(zip(member_ids, chain.from_iterable(members)))
+    return Publications(paper_id, field_id, year, np.concatenate(mentions)), pairs
 
 
 def write_synthetic(
@@ -329,20 +357,24 @@ def write_synthetic(
 ) -> tuple[Path, Path]:
     """Write `table` and `pairs` as publications.csv and membership.csv.
 
-    The files are in the ingestion format. A failed write raises
-    `InputDataError`.
+    The files are in the ingestion format, written from byte columns a
+    block of rows at a time. A failed write, or an id that does not encode
+    as UTF-8, raises `InputDataError`.
     """
     out = Path(out_dir)
     pub_path = out / "publications.csv"
     mem_path = out / "membership.csv"
+    paper_ids, labels = [paper_id for paper_id, _ in pairs], [label for _, label in pairs]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        with open(pub_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("paper_id,field_id,year,mentions\n")
-            fh.writelines(map("%s,%s,%s,%s\n".__mod__, table))
-        with open(mem_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("paper_id,group_id\n")
-            fh.writelines(map("%s,%s\n".__mod__, pairs))
+        with open(pub_path, "wb") as fh:
+            fh.write(b"paper_id,field_id,year,mentions\n")
+            for rows in _blocks(len(table)):
+                fh.write(_lines(table._span_columns(rows), b",,,\n"))
+        with open(mem_path, "wb") as fh:
+            fh.write(b"paper_id,group_id\n")
+            for rows in _blocks(len(pairs)):
+                fh.write(_lines([_Spans.of(paper_ids[rows]), _Spans.of(labels[rows])], b",\n"))
     except OSError as exc:
         raise InputDataError(f"cannot write synthetic data: {exc}") from exc
     return pub_path, mem_path

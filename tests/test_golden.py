@@ -5,8 +5,14 @@ fixture paths (reports echo the input paths in ``audit.config``) and
 compares stdout with a file under ``tests/fixtures/golden/``. To regenerate
 a golden file after an intended output change, run the case's command from
 the repository root and redirect stdout into the file.
+
+The files ``synth`` writes for the two fixture specs are pinned by their
+sha256 digests in `SYNTH_DIGESTS`; after an intended change, run
+``zinorm synth --spec tests/fixtures/<spec> --out <dir>`` and
+``sha256sum <dir>/*``.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -40,6 +46,18 @@ CASES = {
     "validity.json": ("validity", "--spec", "tests/fixtures/validity_spec.json"),
 }
 
+#: sha256 of publications.csv and membership.csv as `synth` writes them for each spec.
+SYNTH_DIGESTS = {
+    "coverage_spec.json": (
+        "822f77c39e9fea2f963e3795a3ad279de89f6bbb439ef273e322d1e1e3813ab5",
+        "ada5b99b343af7574bec2165f8c82a8d4d74816808a815eec31594b37061affc",
+    ),
+    "validity_spec.json": (
+        "031fdd93ddcd4b11598404753fad82f2cfa0c3adb8724276543dfdf55c70508e",
+        "ca257759485c5db02a742ac66b228ec7382b602e2b45dca404e9ff6ca71e0d2d",
+    ),
+}
+
 
 def source_env() -> dict:
     """The environment with the repository's ``src`` first on ``PYTHONPATH``."""
@@ -60,3 +78,17 @@ def test_cli_output_matches_golden_bytes(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("spec", sorted(SYNTH_DIGESTS))
+def test_synth_files_match_pinned_digests(tmp_path, spec):
+    proc = subprocess.run(
+        [sys.executable, "-m", "zinorm", "synth", "--spec", f"tests/fixtures/{spec}", "--out", tmp_path],
+        capture_output=True,
+        cwd=ROOT,
+        env=source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    written = (tmp_path / "publications.csv", tmp_path / "membership.csv")
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in written)
+    assert digests == SYNTH_DIGESTS[spec]

@@ -666,16 +666,25 @@ class TestCli:
                 {**MALFORMED_BASE, "groups": [{"label": "g", "sizes": 2, "theta": True}]},
                 "spec group 0: theta must be a number, got True",
             ),
+            (
+                {**MALFORMED_BASE, "strata": [{**MALFORMED_STRATUM, "field_id": "\ud800"}]},
+                "stratum '\\ud800/2000': field_id does not encode as UTF-8",
+            ),
+            (
+                {**MALFORMED_BASE, "groups": [{"label": "g\udc80", "sizes": 2, "theta": 2.0}]},
+                "group label 'g\\udc80' does not encode as UTF-8",
+            ),
         ],
         ids=[
             "stratum-key", "group-key", "probability", "not-object", "field-empty",
             "field-comma", "field-newline", "label-comma", "label-quote", "field-null",
-            "label-int", "probability-string", "theta-bool",
+            "label-int", "probability-string", "theta-bool", "field-surrogate",
+            "label-surrogate",
         ],
     )
     def test_malformed_spec_exits_2_naming_entry(self, tmp_path, command, spec_doc, message):
-        # Ids that the CSV files would have to quote are refused, so `synth`
-        # never writes files that `compute` rejects.
+        # Ids that the CSV files would have to quote, or that are not UTF-8,
+        # are refused, so `synth` never writes files that `compute` rejects.
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(spec_doc))
         extra = {

@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress
-from operator import not_
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -101,7 +100,10 @@ class _Spans:
         self.buf, self.start, self.width = buf, start, width
 
     @classmethod
-    def of(cls, strings: Sequence[str]) -> "_Spans":
+    def of(cls, strings: "Sequence[str] | _Spans") -> "_Spans":
+        """`strings` as spans of their UTF-8 bytes; spans are returned as they are."""
+        if isinstance(strings, _Spans):
+            return strings
         data = "".join(strings).encode("utf-8", "surrogatepass")
         width = np.fromiter(map(len, strings), np.int64, len(strings))
         if len(data) != width.sum():  # Not all ASCII: count bytes, not characters.
@@ -145,14 +147,6 @@ class _Spans:
         return [data[begin:end].decode("utf-8", "surrogatepass") for begin, end in spans]
 
 
-def _spans(column: list | _Spans) -> _Spans:
-    return column if isinstance(column, _Spans) else _Spans.of(column)
-
-
-def _strings(column: list | _Spans, rows: slice) -> list[str]:
-    return column.decode(rows) if isinstance(column, _Spans) else column[rows]
-
-
 #: 10, 100, ..., 10**18: an int64 below ``_POWERS_OF_TEN[k]`` has at most k + 1 digits.
 _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 
@@ -193,12 +187,13 @@ def _put(out: np.ndarray, at: np.ndarray, columns: Sequence[_Spans], ends: bytes
             at += 1
 
 
-def _lines(columns: Sequence[_Spans], ends: bytes) -> np.ndarray:
-    """The rows of `columns` back to back as UTF-8 bytes, each span followed by its byte of `ends`.
+def _lines(columns: Sequence[_Spans]) -> np.ndarray:
+    """The rows of `columns` as CSV lines of UTF-8 bytes: each span, then a comma or a newline.
 
     A span that is not UTF-8 (a lone surrogate, which `_Spans.of` lets
     through) raises `InputDataError`.
     """
+    ends = b"," * (len(columns) - 1) + b"\n"
     width = sum(column.width for column in columns) + len(ends)
     stop = np.cumsum(width)
     out = np.empty(int(stop[-1]) if len(stop) else 0, np.uint8)
@@ -287,12 +282,6 @@ def _sorted_codes(ids: _Spans) -> tuple[list[str], np.ndarray]:
     return [distinct[i] for i in order], rank[codes]
 
 
-def _empty(column: list | _Spans) -> np.ndarray:
-    if isinstance(column, _Spans):
-        return column.width == 0
-    return np.fromiter(map(not_, column), bool, len(column))
-
-
 def _first_broken(rules) -> tuple[int, str] | None:
     """The first row that breaks one of `rules`, (mask, message of row) pairs, and its message.
 
@@ -307,27 +296,22 @@ def _first_broken(rules) -> tuple[int, str] | None:
 class Publications:
     """Publication rows as columns, checked against the row rules when built.
 
-    `paper_id` is a list, field ids are `field_codes` into the sorted
-    distinct `fields`, `year` and `mentions` are int64 arrays, and `line`
-    holds each row's 1-based input line, or is None for rows not read from
-    a file. The first row with an empty id, a year outside
-    `DEFAULT_YEAR_RANGE` or a negative mention count raises
+    The paper and field ids are spans of UTF-8 bytes, made from lists of
+    strings when given those; `paper_id` is decoded, and `fields` and
+    `field_codes` into them coded, when first read. `year` and `mentions`
+    are int64 arrays, and `line` holds each row's 1-based input line, or is
+    None for rows not read from a file. The first row with an empty id, a
+    year outside `DEFAULT_YEAR_RANGE` or a negative mention count raises
     `InputDataError`, prefixed with ``line N: `` when lines are known.
     Iteration yields the rows as `PublicationRecord`s.
-
-    The two id columns are lists of strings or, from the plain reader and
-    `generate_synthetic`, spans of UTF-8 bytes. Nothing is decoded or coded
-    until it is read: `paper_id` is decoded from spans when first read,
-    `fields` and `field_codes` are coded when first read, `build_profiles`
-    codes the paper ids, and `write_synthetic` writes the spans' bytes.
     """
 
     def __init__(self, paper_id, field_id, year, mentions, line=None):
-        self._paper, self._field, self.line = paper_id, field_id, line
+        self._paper, self._field, self.line = _Spans.of(paper_id), _Spans.of(field_id), line
         year, mentions = _integers(year), _integers(mentions)
         broken = _first_broken((
-            (_empty(paper_id), lambda i: "empty paper_id"),
-            (_empty(field_id), lambda i: "empty field_id"),
+            (self._paper.width == 0, lambda i: "empty paper_id"),
+            (self._field.width == 0, lambda i: "empty field_id"),
             (years_outside(year), lambda i: year_error(year[i])),
             (mentions < 0, lambda i: f"negative mention count {mentions[i]}"),
         ))
@@ -341,11 +325,11 @@ class Publications:
 
     @cached_property
     def paper_id(self) -> list[str]:
-        return self._paper.decode() if isinstance(self._paper, _Spans) else self._paper
+        return self._paper.decode()
 
     @cached_property
     def _coded_fields(self) -> tuple[list[str], np.ndarray]:
-        return _sorted_codes(_spans(self._field))
+        return _sorted_codes(self._field)
 
     @property
     def fields(self) -> list[str]:
@@ -360,9 +344,8 @@ class Publications:
 
     def __iter__(self) -> Iterator[PublicationRecord]:
         # In blocks, so that no column is held whole as Python objects.
-        for start in range(0, len(self), 1 << 16):
-            block = slice(start, start + (1 << 16))
-            ids = _strings(self._paper, block), _strings(self._field, block)
+        for block in _blocks(len(self)):
+            ids = self._paper.decode(block), self._field.decode(block)
             columns = self.year[block].tolist(), self.mentions[block].tolist()
             yield from map(_record, zip(*ids, *columns))
 
@@ -370,11 +353,50 @@ class Publications:
         """The four columns of `rows` as spans, the year and mentions in decimal."""
         year = self.year[rows]
         return [
-            _spans(self._paper[rows]),
-            _spans(self._field[rows]),
+            self._paper[rows],
+            self._field[rows],
             _Spans(_YEAR_DIGITS, 4 * (year - DEFAULT_YEAR_RANGE[0]), np.full(len(year), 4)),
             _Spans.digits(self.mentions[rows]),
         ]
+
+
+class Membership:
+    """Membership rows: paper ids and group ids as spans, and `line` as in `Publications`.
+
+    Rows read from a file must have both ids: the first line with an empty
+    one raises `InputDataError`. `build_profiles` checks the membership
+    rules. Iteration yields the rows as decoded ``(paper_id, group_id)``
+    tuples, a block at a time.
+    """
+
+    def __init__(self, paper_id, group_id, line=None):
+        self._paper, self._group, self.line = _Spans.of(paper_id), _Spans.of(group_id), line
+        if line is None:
+            return
+        broken = _first_broken((
+            (self._paper.width == 0, lambda i: "empty paper_id"),
+            (self._group.width == 0, lambda i: "empty group_id"),
+        ))
+        if broken:
+            row, message = broken
+            raise InputDataError(f"line {line[row]}: {message}")
+
+    @classmethod
+    def of(cls, pairs: "Membership | Sequence[tuple[str, str]]") -> "Membership":
+        """The table of (paper_id, group_id) `pairs`, or `pairs` if it is a table."""
+        if isinstance(pairs, Membership):
+            return pairs
+        return cls(*(list(zip(*pairs)) or [(), ()]))
+
+    def __len__(self) -> int:
+        return len(self._paper)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        for block in _blocks(len(self)):
+            yield from zip(self._paper.decode(block), self._group.decode(block))
+
+    def _span_columns(self, rows: slice) -> list[_Spans]:
+        return [self._paper[rows], self._group[rows]]
 
 
 class CountProfile:
@@ -496,7 +518,7 @@ class Profiles(tuple):
 
 def build_profiles(
     table: Publications,
-    memberships: Sequence[tuple[str, str]],
+    memberships: Membership | Sequence[tuple[str, str]],
 ) -> Profiles:
     """Aggregate a table of publication rows into world and group count profiles.
 
@@ -507,9 +529,10 @@ def build_profiles(
         the table was built. A paper may appear under several strata
         (multi-field papers) but only once per stratum.
     memberships:
-        (paper_id, group_id) pairs. Every cited paper must exist in
-        `table`; a paper contributes to a group in every stratum it is
-        assigned to. Duplicate pairs are collapsed with a warning.
+        A `Membership` table, as `parse_membership` returns it, or any
+        sequence of (paper_id, group_id) pairs. Every cited paper must
+        exist in `table`; a paper contributes to a group in every stratum
+        it is assigned to. Duplicate pairs are collapsed with a warning.
 
     Returns
     -------
@@ -526,6 +549,7 @@ def build_profiles(
         reserved world label.
     """
     start = time.perf_counter()
+    members = Membership.of(memberships)
     # Years lie in `DEFAULT_YEAR_RANGE`, so a field and a year make one code.
     low, high = DEFAULT_YEAR_RANGE
     stratum_codes, first_rows = _group(table.field_codes * (high - low + 1) + (table.year - low))
@@ -534,8 +558,7 @@ def build_profiles(
     unmentioned = table.mentions == 0
 
     # The table's and the memberships' paper ids, coded together.
-    member_ids = [paper_id for paper_id, _ in memberships]
-    paper_ids = _spans(table._paper) + _Spans.of(member_ids)
+    paper_ids = table._paper + members._paper
     paper_codes, of_paper = _code(paper_ids)
     paper_codes, member_papers = paper_codes[: len(table)], paper_codes[len(table):]
     per_paper = np.bincount(paper_codes, minlength=len(of_paper))
@@ -555,24 +578,23 @@ def build_profiles(
     cells = np.bincount(stratum_codes * 2 + unmentioned, minlength=2 * len(keys))
     world = CountProfile._of(WORLD_LABEL, keys, cells.reshape(-1, 2).astype(float))
 
-    group_ids = _Spans.of([group_id for _, group_id in memberships])
-    labels, member_groups = _sorted_codes(group_ids)
+    labels, member_groups = _sorted_codes(members._group)
     reserved = np.array([label == WORLD_LABEL for label in labels], bool)
     broken = _first_broken((
-        (group_ids.width == 0, lambda i: "membership row has empty group_id"),
+        (members._group.width == 0, lambda i: "membership row has empty group_id"),
         (
             reserved[member_groups],
             lambda i: f"group label {WORLD_LABEL!r} is reserved for the world profile",
         ),
         (
             per_paper[member_papers] == 0,
-            lambda i: f"membership references unknown paper {member_ids[i]!r}",
+            lambda i: f"membership references unknown paper {members._paper.decode([i])[0]!r}",
         ),
     ))
     if broken:
         raise InputDataError(broken[1])
     pairs = np.unique(member_papers * len(labels) + member_groups)
-    if duplicates := len(memberships) - len(pairs):
+    if duplicates := len(members) - len(pairs):
         logger.warning("collapsed %d duplicate membership pair(s)", duplicates)
 
     # Pair each membership with every row of its paper, reading the

@@ -22,7 +22,7 @@ import logging
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .profiles import (
     DEFAULT_YEAR_RANGE,
     CountProfile,
     FilterConfig,
+    Membership,
     Publications,
     _Spans,
     apply_filters,
@@ -57,71 +58,89 @@ MEMBERSHIP_HEADER = ["paper_id", "group_id"]
 PERCENT_RENDER_LIMIT = 2.0
 
 
-def _parse_int(raw: str, line: int, what: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputDataError(
-            f"line {line}: {what} {raw!r} is not an integer"
-        ) from None
-
-
-def _digits(buf: np.ndarray, stop: np.ndarray, width: np.ndarray) -> np.ndarray | None:
-    """The numbers written as the `width` bytes before each `stop`, or None if one is not a digit."""
+def _digits(column: _Spans) -> np.ndarray | None:
+    """The numbers that `column` writes in decimal, or None if a byte is not a digit."""
+    stop = column.start + column.width
     value = np.zeros(len(stop), np.int64)
-    for place in range(int(width.max())):
-        digit = buf.take(stop - 1 - place, mode="clip").astype(np.int64) - ord("0")
-        digit[width <= place] = 0
+    for place in range(int(column.width.max())):
+        digit = column.buf.take(stop - 1 - place, mode="clip").astype(np.int64) - ord("0")
+        digit[column.width <= place] = 0
         if ((digit < 0) | (digit > 9)).any():
             return None
         value += digit * 10**place
     return value
 
 
-def _plain_publications(text: str) -> Publications | str:
-    """The table of a plain publications `text`, or why it is not plain.
+def _plain_columns(text: str, header: list[str]) -> list[_Spans] | str:
+    """The columns of a plain `text`, as spans of its UTF-8 bytes, or why it is not plain.
 
-    A plain text is the header line and then lines of four fields, with no
-    quote character and no carriage return, whose years and mention counts
-    are 1 to 18 ASCII digits. The csv module and `int()` read such a text
-    as its commas, newlines and digit bytes do; the ids stay spans of its
-    UTF-8 bytes.
+    A plain text is the `header` line and then lines of as many fields, with
+    no quote character, no carriage return and no field longer than
+    `csv.field_size_limit()`; the csv module reads it as its commas and
+    newlines split it.
     """
-    head = ",".join(PUBLICATION_HEADER) + "\n"
+    head = ",".join(header) + "\n"
     if '"' in text or "\r" in text:
         return "quote or carriage return"
-    if not text.startswith(head) or text == head:
-        return "header or no data rows"
+    if not text.startswith(head):
+        return "header"
     data = text.encode("utf-8", "surrogatepass") + (b"" if text.endswith("\n") else b"\n")
     # Newlines and commas are single bytes in UTF-8, so bytes locate them.
     buf = np.frombuffer(data, np.uint8, offset=len(head))
     ends, commas = np.flatnonzero(buf == ord("\n")), np.flatnonzero(buf == ord(","))
-    if len(commas) != 3 * len(ends):
+    per_line = len(header) - 1
+    if len(commas) != per_line * len(ends):
         return "field count"
-    # Field j of each line runs from start[j] up to stop[j], its line's j-th
-    # comma or its newline. With three commas per line, each line holds its
-    # own three when no field has a negative width.
-    stop = [commas[0::3], commas[1::3], commas[2::3], ends]
-    start = [np.r_[0, ends[:-1] + 1], *(comma + 1 for comma in stop[:3])]
-    width = [after - before for before, after in zip(start, stop)]
-    if min(map(np.min, width)) < 0:
+    # Field j of a line lies between its line's j-th and (j + 1)-th separator:
+    # the previous newline, its commas and its newline. With `per_line`
+    # commas per line, each line holds its own when no width is negative.
+    seps = [np.r_[-1, ends][:-1], *(commas[j::per_line] for j in range(per_line)), ends]
+    columns = [_Spans(buf, low + 1, high - low - 1) for low, high in zip(seps, seps[1:])]
+    if min(column.width.min(initial=0) for column in columns) < 0:
         return "field count"
-    if min(map(np.min, width[2:])) < 1 or max(map(np.max, width[2:])) > 18:
+    if max(column.width.max(initial=0) for column in columns) > csv.field_size_limit():
+        return "field size"
+    return columns
+
+
+def _plain_publications(text: str) -> Publications | str:
+    """The table of a plain publications `text`, or why it is not plain.
+
+    Its years and mention counts must be 1 to 18 ASCII digits, which `int()`
+    reads as their bytes do.
+    """
+    columns = _plain_columns(text, PUBLICATION_HEADER)
+    if isinstance(columns, str):
+        return columns
+    widths = [column.width for column in columns[2:]]
+    if not len(widths[0]):
+        return "no data rows"
+    if min(map(np.min, widths)) < 1 or max(map(np.max, widths)) > 18:
         return "year or mentions width"
-    year, mentions = (_digits(buf, stop[j], width[j]) for j in (2, 3))
+    year, mentions = map(_digits, columns[2:])
     if year is None or mentions is None:
         return "year or mentions not plain digits"
-    paper_id, field_id = (_Spans(buf, start[j], width[j]) for j in (0, 1))
-    return Publications(paper_id, field_id, year, mentions, range(2, len(year) + 2))
+    return Publications(*columns[:2], year, mentions, range(2, len(year) + 2))
 
 
-def _csv_rows(lines: Iterable[str], header: list[str], what: str) -> Iterator:
-    """The line and fields of each non-blank row after `header`, read by the csv module.
+def _plain_membership(text: str) -> Membership | str:
+    """The table of a plain membership `text`, or why it is not plain."""
+    columns = _plain_columns(text, MEMBERSHIP_HEADER)
+    if isinstance(columns, str):
+        return columns
+    return Membership(*columns, range(2, len(columns[0]) + 2))
 
-    A row the csv module cannot read (a field longer than
-    `csv.field_size_limit()`, say) raises `InputDataError` naming its line.
+
+def _csv_table(lines: Iterable[str], header: list[str], what: str, make, numbers=()):
+    """`make` of the columns and lines of the non-blank rows after `header`, read by the csv module.
+
+    Reading stops at the first error, which names its line: a row of the
+    wrong length, a column in `numbers` that is not an integer, or a row
+    the csv module cannot read (a field past `csv.field_size_limit()`).
+    The rows before it are made first, so that an earlier line's broken
+    row rule is reported first.
     """
-    reader = csv.reader(lines)
+    reader, rows, error = csv.reader(lines), [], None
     try:
         first = next(reader, None)
         if first is None:
@@ -130,34 +149,56 @@ def _csv_rows(lines: Iterable[str], header: list[str], what: str) -> Iterator:
             raise InputDataError(
                 f"{what} header must be {','.join(header)!r}, got {','.join(first)!r}"
             )
-        width = len(header)
         for row in reader:
-            if len(row) != width:
+            line = reader.line_num
+            if len(row) != len(header):
                 if not row:
                     continue
-                raise InputDataError(
-                    f"line {reader.line_num}: expected {width} fields, got {len(row)}"
-                )
-            yield reader.line_num, row
+                raise InputDataError(f"line {line}: expected {len(header)} fields, got {len(row)}")
+            for j in numbers:
+                try:
+                    row[j] = int(row[j])
+                except ValueError:
+                    raise InputDataError(
+                        f"line {line}: {header[j]} {row[j]!r} is not an integer"
+                    ) from None
+            rows.append((*row, line))
     except csv.Error as exc:
-        raise InputDataError(f"line {reader.line_num}: {exc}") from None
+        error = InputDataError(f"line {reader.line_num}: {exc}")
+    except InputDataError as exc:
+        error = exc
+    table = make(*([list(column) for column in zip(*rows)] or [[]] * (len(header) + 1)))
+    if error:
+        raise error
+    return table
 
 
 def _csv_publications(lines: Iterable[str]) -> Publications:
-    rows = []
-    try:
-        for line, (paper_id, field_id, year, mentions) in _csv_rows(
-            lines, PUBLICATION_HEADER, "publications"
-        ):
-            year, mentions = _parse_int(year, line, "year"), _parse_int(mentions, line, "mentions")
-            rows.append((paper_id, field_id, year, mentions, line))
-    except InputDataError:
-        if rows:  # A row rule broken on an earlier line is reported first.
-            Publications(*map(list, zip(*rows)))
-        raise
-    if not rows:
+    table = _csv_table(lines, PUBLICATION_HEADER, "publications", Publications, numbers=(2, 3))
+    if not len(table):
         raise InputDataError("publications input has no data rows")
-    return Publications(*map(list, zip(*rows)))
+    return table
+
+
+def _csv_membership(lines: Iterable[str]) -> Membership:
+    return _csv_table(lines, MEMBERSHIP_HEADER, "membership", Membership)
+
+
+def _parse(lines: Iterable[str], what: str, plain, by_csv):
+    """The table of `lines`: read by `plain` from a file's text if it takes it, else by `by_csv`."""
+    start = time.perf_counter()
+    text = lines.read() if hasattr(lines, "read") else None
+    table, reader = "not a file" if text is None else plain(text), "fast"
+    if isinstance(table, str):
+        reader = f"csv ({table})"
+        table = by_csv(lines if text is None else io.StringIO(text, newline=""))
+    if not len(table):  # Only a membership table may be empty.
+        logger.warning("membership input has no data rows; only the world row will be reported")
+    logger.info(
+        "report.parse_%s %.3f s, %d rows, reader %s",
+        what, time.perf_counter() - start, len(table), reader,
+    )
+    return table
 
 
 def parse_publications(lines: Iterable[str]) -> Publications:
@@ -172,41 +213,19 @@ def parse_publications(lines: Iterable[str]) -> Publications:
     csv module would read as a plain split is read from its bytes in one
     pass.
     """
-    start = time.perf_counter()
-    text = lines.read() if hasattr(lines, "read") else None
-    table = "not a file" if text is None else _plain_publications(text)
-    reader = "fast" if isinstance(table, Publications) else f"csv ({table})"
-    if not isinstance(table, Publications):
-        table = _csv_publications(lines if text is None else io.StringIO(text, newline=""))
-    logger.info(
-        "report.parse_publications %.3f s, %d rows, reader %s",
-        time.perf_counter() - start, len(table), reader,
-    )
-    return table
+    return _parse(lines, "publications", _plain_publications, _csv_publications)
 
 
-def parse_membership(lines: Iterable[str]) -> list[tuple[str, str]]:
-    """Parse membership rows into (paper_id, group_id) pairs.
+def parse_membership(lines: Iterable[str]) -> Membership:
+    """Parse membership rows into a `Membership` table, read as `parse_publications` reads.
 
-    The header must be exactly ``paper_id,group_id``. An empty body is
-    allowed (logged as a warning): the report then contains only the world
-    row. Duplicate pairs are kept here and collapsed during aggregation.
+    The header must be exactly ``paper_id,group_id``. A wrong column count
+    or an empty id raises `InputDataError` naming the first offending line.
+    An empty body is allowed (logged as a warning): the report then
+    contains only the world row. Duplicate pairs are kept here and
+    collapsed during aggregation.
     """
-    start = time.perf_counter()
-    pairs: list[tuple[str, str]] = []
-    for line, (paper_id, group_id) in _csv_rows(lines, MEMBERSHIP_HEADER, "membership"):
-        if not paper_id:
-            raise InputDataError(f"line {line}: empty paper_id")
-        if not group_id:
-            raise InputDataError(f"line {line}: empty group_id")
-        pairs.append((paper_id, group_id))
-    if not pairs:
-        logger.warning("membership input has no data rows; only the world row will be reported")
-    logger.info(
-        "report.parse_membership %.3f s, %d rows, reader csv",
-        time.perf_counter() - start, len(pairs),
-    )
-    return pairs
+    return _parse(lines, "membership", _plain_membership, _csv_membership)
 
 
 @dataclass(frozen=True, kw_only=True)

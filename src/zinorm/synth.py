@@ -28,7 +28,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain, compress, repeat
+from itertools import compress
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -47,6 +47,7 @@ from .profiles import (
     WORLD_LABEL,
     CountProfile,
     FilterConfig,
+    Membership,
     Publications,
     StratumKey,
     _Spans,
@@ -318,14 +319,16 @@ def _numbered(prefixes: list[str], counts: np.ndarray) -> _Spans:
     return ids
 
 
-def generate_synthetic(spec: WorldSpec) -> tuple[Publications, list[tuple[str, str]]]:
+def generate_synthetic(spec: WorldSpec) -> tuple[Publications, Membership]:
     """Draw one synthetic world from `spec.seed`; identical specs give identical output.
 
     Per paper, mentioned-or-not comes from a Bernoulli draw at the group's
     odds-scaled probability (background papers use the world probability);
     mentioned papers get a positive mention count, unmentioned papers 0.
     Paper ids encode group, stratum, and index, so output order and bytes
-    are deterministic. The table holds its ids as spans of UTF-8 bytes.
+    are deterministic. Both tables hold their ids as spans of UTF-8 bytes;
+    the membership table lists each group's papers, in the order of the
+    publications table.
     """
     rng = np.random.default_rng(spec.seed)
     mentions: list[np.ndarray] = []
@@ -342,42 +345,48 @@ def generate_synthetic(spec: WorldSpec) -> tuple[Publications, list[tuple[str, s
     stratum = np.repeat(np.arange(len(spec.strata)), [s.world_size for s in spec.strata])
     field_id = _Spans.of([s.key.field_id for s in spec.strata])[stratum]
     year = np.array([s.key.year for s in spec.strata])[stratum]
-    # The groups' paper ids, decoded at once from their lines: no id holds a newline.
-    in_group = np.repeat(np.arange(len(counts)) % len(labels) < len(spec.groups), counts)
-    member_ids = str(_lines([paper_id[in_group]], b"\n").data, "utf-8").split("\n")[:-1]
-    members = map(repeat, labels[:-1] * len(spec.strata), spec.sizes[:-1].T.ravel().tolist())
-    pairs = list(zip(member_ids, chain.from_iterable(members)))
-    return Publications(paper_id, field_id, year, np.concatenate(mentions)), pairs
+    row_label = np.repeat(np.arange(len(counts)) % len(labels), counts)
+    in_group = row_label < len(spec.groups)
+    members = Membership(paper_id[in_group], _Spans.of(labels)[row_label[in_group]])
+    return Publications(paper_id, field_id, year, np.concatenate(mentions)), members
 
 
 def write_synthetic(
     table: Publications,
-    pairs: Sequence[tuple[str, str]],
+    pairs: Membership | Sequence[tuple[str, str]],
     out_dir: Path | str,
 ) -> tuple[Path, Path]:
-    """Write `table` and `pairs` as publications.csv and membership.csv.
+    """Write `table` and `pairs`, a `Membership` table or any sequence of pairs, as CSV files.
 
-    The files are in the ingestion format, written from byte columns a
-    block of rows at a time. A failed write, or an id that does not encode
-    as UTF-8, raises `InputDataError`.
+    publications.csv and membership.csv are in the ingestion format,
+    written from byte columns a block of rows at a time under temporary
+    names in `out_dir`, and renamed once both are whole. A failed write,
+    or an id that does not encode as UTF-8, leaves the files in `out_dir`
+    as they were and raises `InputDataError`.
     """
     out = Path(out_dir)
-    pub_path = out / "publications.csv"
-    mem_path = out / "membership.csv"
-    paper_ids, labels = [paper_id for paper_id, _ in pairs], [label for _, label in pairs]
+    files = {
+        out / "publications.csv": (b"paper_id,field_id,year,mentions\n", table),
+        out / "membership.csv": (b"paper_id,group_id\n", Membership.of(pairs)),
+    }
+    temporary: list[Path] = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        with open(pub_path, "wb") as fh:
-            fh.write(b"paper_id,field_id,year,mentions\n")
-            for rows in _blocks(len(table)):
-                fh.write(_lines(table._span_columns(rows), b",,,\n"))
-        with open(mem_path, "wb") as fh:
-            fh.write(b"paper_id,group_id\n")
-            for rows in _blocks(len(pairs)):
-                fh.write(_lines([_Spans.of(paper_ids[rows]), _Spans.of(labels[rows])], b",\n"))
+        for path, (header, rows) in files.items():
+            temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            with open(temp, "xb") as fh:
+                temporary.append(temp)
+                fh.write(header)
+                for block in _blocks(len(rows)):
+                    fh.write(_lines(rows._span_columns(block)))
+        for temp, path in zip(temporary, files):
+            os.replace(temp, path)
     except OSError as exc:
         raise InputDataError(f"cannot write synthetic data: {exc}") from exc
-    return pub_path, mem_path
+    finally:
+        for temp in temporary:
+            temp.unlink(missing_ok=True)
+    return tuple(files)
 
 
 def expected_profiles(

@@ -21,11 +21,12 @@ from zinorm import (
     emnpc,
     mhq,
     mnpc,
+    parse_membership,
     parse_publications,
 )
 from zinorm.indicators import IndicatorResult
 from zinorm.profiles import PublicationRecord
-from zinorm.report import _csv_publications, _plain_publications
+from zinorm.report import _csv_membership, _csv_publications, _plain_membership, _plain_publications
 
 from conftest import cells, table
 
@@ -358,6 +359,27 @@ ODD_FIELDS = [
 ]
 
 
+def odd_text(draw, header: str, rows: list[list[str]], odd: list[str]) -> str:
+    """`header` and `rows` as a file's text, with a few `odd` fields and odd lines.
+
+    A row may have a field too many or too few, a blank line may be
+    inserted, lines may end in CRLF, the last newline may be missing and a
+    byte order mark may lead.
+    """
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(odd))
+    if rows and draw(st.integers(0, 5)) == 0:
+        row = draw(st.sampled_from(rows))
+        row.append("x") if draw(st.booleans()) else row.pop()
+    lines = [header, *map(",".join, rows)]
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = "\r\n" if draw(st.integers(0, 5)) == 0 else "\n"
+    text = newline.join(lines) + ("" if draw(st.integers(0, 3)) == 0 else newline)
+    return ("\ufeff" if draw(st.integers(0, 7)) == 0 else "") + text
+
+
 @st.composite
 def publication_texts(draw):
     """Mostly well-formed publications files, with a few odd fields and lines."""
@@ -370,18 +392,25 @@ def publication_texts(draw):
         ]
         for _ in range(draw(st.integers(0, 6)))
     ]
-    for _ in range(draw(st.integers(0, 2)) if rows else 0):
-        row = draw(st.sampled_from(rows))
-        row[draw(st.integers(0, 3))] = draw(st.sampled_from(ODD_FIELDS))
-    if rows and draw(st.integers(0, 5)) == 0:
-        row = draw(st.sampled_from(rows))
-        row.append("x") if draw(st.booleans()) else row.pop()
-    lines = ["paper_id,field_id,year,mentions", *map(",".join, rows)]
-    if draw(st.integers(0, 5)) == 0:
-        lines.insert(draw(st.integers(1, len(lines))), "")
-    newline = "\r\n" if draw(st.integers(0, 5)) == 0 else "\n"
-    text = newline.join(lines) + ("" if draw(st.integers(0, 3)) == 0 else newline)
-    return ("\ufeff" if draw(st.integers(0, 7)) == 0 else "") + text
+    return odd_text(draw, "paper_id,field_id,year,mentions", rows, ODD_FIELDS)
+
+
+#: Membership ids: empty, non-ASCII and NUL ones, and ones that the csv
+#: module and a plain split read differently.
+ODD_IDS = ["", "é", "𝄞", "p\x00", "\x00", " g", '"g"', '"p,1"', 'p"', "p\u2028"]
+
+
+@st.composite
+def membership_texts(draw):
+    """Membership files, header only or with rows, with a few odd ids and lines."""
+    rows = [
+        [
+            draw(st.sampled_from(["p1", "p2", "ü4", "p\x00", "p1", "p2", ""])),
+            draw(st.sampled_from(["g", "h", "é", "g\x00", "g", "h", ""])),
+        ]
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return odd_text(draw, "paper_id,group_id", rows, ODD_IDS)
 
 
 def parse_outcome(read, source):
@@ -404,4 +433,14 @@ class TestParsePaths:
         if fast_outcome[0] == "declined":
             # A declined text goes to the csv path whole.
             fast_outcome = parse_outcome(parse_publications, io.StringIO(text, newline=""))
+        assert fast_outcome == csv_outcome
+
+    @given(membership_texts())
+    @settings(max_examples=400)
+    def test_membership_fast_and_csv_paths_agree(self, text):
+        csv_outcome = parse_outcome(_csv_membership, io.StringIO(text, newline=""))
+        fast_outcome = parse_outcome(_plain_membership, text)
+        if fast_outcome[0] == "declined":
+            # A declined text goes to the csv path whole.
+            fast_outcome = parse_outcome(parse_membership, io.StringIO(text, newline=""))
         assert fast_outcome == csv_outcome

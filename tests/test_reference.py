@@ -268,7 +268,10 @@ def facing_intervals(draw):
     The overlap is 0, 2^-31 or 2^-29 off 0 (either side of
     `TOUCH_TOLERANCE`), exactly half the mean facing arm, or any
     multiple of the unit short of the two facing arms, so that `hi` keeps
-    the higher value; the facing arms are in ratio exactly 2 or any.
+    the higher value; the facing arms are in ratio exactly 2 or any. The
+    value of `lo` keeps both lower endpoints at least one unit above 0, as
+    `IndicatorResult` requires: `hi`'s is at least `value - (arm_hi - 1)`
+    units.
     """
     unit = Fraction(1, 2 ** draw(st.integers(0, 6)))
     arm_lo = draw(st.integers(1, 40))
@@ -284,7 +287,7 @@ def facing_intervals(draw):
             ]
         )
     )
-    value = draw(st.integers(41, 200)) * unit
+    value = draw(st.integers(max(41, arm_hi), 200)) * unit
     lo = (value, value - draw(st.integers(0, 40)) * unit, value + arm_lo * unit)
     lower = lo[2] - overlap
     hi = (lower + arm_hi * unit, lower, lower + (arm_hi + draw(st.integers(0, 40))) * unit)

@@ -175,11 +175,22 @@ class TestParsePublications:
         lines = ["paper_id,field_id,year,mentions", "", "p1,bio,2010,1", ""]
         assert len(parse_publications(lines)) == 1
 
+    @pytest.mark.parametrize("parse, header", [
+        (parse_publications, "paper_id,field_id,year,mentions"),
+        (parse_membership, "paper_id,group_id"),
+    ])
+    def test_field_over_csv_size_limit_is_refused_from_a_plain_file(self, parse, header):
+        # The plain reader declines the file, so the csv module refuses the field.
+        fields = ",".join(["p" * 140_000, "bio", "2010", "0"][: header.count(",") + 1])
+        text = f"{header}\n{fields}\n"
+        with pytest.raises(InputDataError, match=r"^line 2: field larger than field limit \(131072\)$"):
+            parse(io.StringIO(text, newline=""))
+
 
 class TestParseMembership:
     def test_happy_path(self):
         pairs = parse_membership(["paper_id,group_id", "p1,g", "p2,g"])
-        assert pairs == [("p1", "g"), ("p2", "g")]
+        assert list(pairs) == [("p1", "g"), ("p2", "g")]
 
     def test_header_must_match(self):
         with pytest.raises(InputDataError, match="header"):
@@ -187,7 +198,7 @@ class TestParseMembership:
 
     def test_empty_body_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="zinorm.report"):
-            assert parse_membership(["paper_id,group_id"]) == []
+            assert list(parse_membership(["paper_id,group_id"])) == []
         assert any("no data rows" in r.message for r in caplog.records)
 
     def test_wrong_column_count(self):
@@ -545,8 +556,9 @@ class TestCli:
 
     @pytest.mark.parametrize("which", ["publications", "membership"])
     def test_field_over_csv_size_limit_exits_2(self, tmp_path, which):
-        # The quote sends publications through the csv module, which reads
-        # membership always.
+        # The quote sends publications through the csv module; a plain
+        # membership file with a field past the csv module's limit goes
+        # there too.
         long_id = "p" * 140_000
         pubs, members = tmp_path / "publications.csv", tmp_path / "membership.csv"
         pubs.write_text(
@@ -742,7 +754,7 @@ class TestCli:
                 "profiles.build_profiles",
             ]
             assert re.fullmatch(rf"\S+ \d+\.\d{{3}} s, 158 rows, reader {re.escape(reader)}", stages[0])
-            assert re.fullmatch(r"\S+ \d+\.\d{3} s, \d+ rows, reader csv", stages[1])
+            assert re.fullmatch(r"\S+ \d+\.\d{3} s, \d+ rows, reader fast", stages[1])
             assert re.fullmatch(r"\S+ \d+\.\d{3} s, 158 rows in, \d+ strata out", stages[2])
 
     def test_info_log_has_coverage_stage_line(self):

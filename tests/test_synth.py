@@ -241,7 +241,7 @@ class TestWorldSpec:
 def drawn(spec):
     """The rows and membership pairs that `generate_synthetic` draws."""
     table, pairs = generate_synthetic(spec)
-    return list(table), pairs
+    return list(table), list(pairs)
 
 
 class TestGenerateSynthetic:
@@ -290,7 +290,7 @@ class TestGenerateSynthetic:
         with open(mem_path) as fh:
             parsed_pairs = parse_membership(fh)
         assert list(parsed_records) == list(records)
-        assert parsed_pairs == pairs
+        assert list(parsed_pairs) == list(pairs)
         world, groups = build_profiles(parsed_records, parsed_pairs)
         assert world.total_papers == 150
         assert groups["g"].total_papers == 30

@@ -35,6 +35,8 @@ from zinorm import profiles
 from zinorm.profiles import Publications
 from zinorm.report import PUBLICATION_HEADER
 
+from conftest import COVERAGE_SPEC
+
 #: Id characters the plain reader takes; tables from code or the csv reader hold the rest too.
 PLAIN = ["a", "Z", "0", ":", " ", "é", "€", "𝄞", "\x00"]
 ANY = PLAIN + [",", '"', "\n", "\r"]
@@ -75,7 +77,8 @@ def table_of(rows, source) -> Publications:
         writer = csv.writer(text, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerows([PUBLICATION_HEADER, *rows])
     table = parse_publications(io.StringIO(text.getvalue(), newline=""))
-    assert isinstance(table._paper, profiles._Spans) == (source == "plain")
+    # The plain reader numbers its lines with a range, the csv reader with a list.
+    assert isinstance(table.line, range) == (source == "plain")
     return table
 
 
@@ -114,6 +117,22 @@ class TestWriteSynthetic:
         with pytest.raises(InputDataError, match="does not encode as UTF-8"):
             written(table, pairs)
 
+    def test_failed_write_leaves_the_files_as_they_were(self, tmp_path):
+        # The bad id is in the second encoder block, after a whole block is written.
+        rows = 70_001
+        paper_id = [f"p{i}" for i in range(rows - 1)] + ["g\udc80"]
+        table = Publications(paper_id, ["f"] * rows, [2000] * rows, [0] * rows)
+        with pytest.raises(InputDataError, match="does not encode as UTF-8"):
+            write_synthetic(table, [], tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+        complete = b"paper_id,field_id,year,mentions\np,f,2000,1\n"
+        (tmp_path / "publications.csv").write_bytes(complete)
+        with pytest.raises(InputDataError, match="does not encode as UTF-8"):
+            write_synthetic(table, [("p0", "g")], tmp_path)
+        assert [path.name for path in tmp_path.iterdir()] == ["publications.csv"]
+        assert (tmp_path / "publications.csv").read_bytes() == complete
+
 
 def test_synth_files_read_back_as_the_generated_table(tmp_path, caplog):
     # 100001 background papers in one stratum, so that index 100000 takes six
@@ -136,7 +155,7 @@ def test_synth_files_read_back_as_the_generated_table(tmp_path, caplog):
     for column in ("field_codes", "year", "mentions"):
         assert np.array_equal(getattr(read, column), getattr(table, column))
     with open(mem_path, newline="", encoding="utf-8") as fh:
-        assert parse_membership(fh) == pairs
+        assert list(parse_membership(fh)) == list(pairs)
 
     # The ids are those that one f-string per paper gave.
     labels = [g.label for g in groups] + ["bg"]
@@ -148,4 +167,23 @@ def test_synth_files_read_back_as_the_generated_table(tmp_path, caplog):
     ]
     assert table.paper_id == [paper_id for paper_id, _ in expected]
     assert table.paper_id[100000] == "bg:bé:2001:100000"
-    assert pairs == [(paper_id, label) for paper_id, label in expected if label != "bg"]
+    assert list(pairs) == [(paper_id, label) for paper_id, label in expected if label != "bg"]
+
+
+def test_coverage_spec_files_read_back_fast_as_the_generated_tables(tmp_path, caplog):
+    table, members = generate_synthetic(WorldSpec.from_json(COVERAGE_SPEC))
+    pub_path, mem_path = write_synthetic(table, members, tmp_path)
+    with caplog.at_level(logging.INFO, logger="zinorm.report"):
+        with open(pub_path, newline="", encoding="utf-8") as fh:
+            read = parse_publications(fh)
+        with open(mem_path, newline="", encoding="utf-8") as fh:
+            read_members = parse_membership(fh)
+    stages = [message for message in caplog.messages if message.startswith("report.parse_")]
+    assert [stage.rsplit(" ", 2)[1:] for stage in stages] == [["reader", "fast"]] * 2
+    assert read.paper_id == table.paper_id
+    assert read._field.decode() == table._field.decode()
+    for column in ("year", "mentions"):
+        assert np.array_equal(getattr(read, column), getattr(table, column))
+    for column in ("_paper", "_group"):
+        assert getattr(read_members, column).decode() == getattr(members, column).decode()
+    assert len(read_members) == len(members) > 0

@@ -2,10 +2,10 @@
 
 The writer encodes each block of rows from byte columns. These tests hold
 it to a reference that formats one ``%s`` line per record, on tables made
-in code or read by the csv reader (lists of ids, including ids the CSV
-format would quote, and counts past int64) and on tables read by the plain
-reader (spans of the file's bytes), and check that the files `synth`
-writes read back as the table that was generated.
+in code or read by the csv reader (ids that the CSV format would quote,
+and counts past int64) and on tables read by the plain reader (spans of
+the file's bytes), and check that the files `synth` writes read back as
+the tables that were generated, and that a failed write leaves no file.
 """
 
 import csv

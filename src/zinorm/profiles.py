@@ -690,22 +690,18 @@ def apply_filters(
     return FilterResult(world._take(keep), filtered_groups, tuple(removed))
 
 
-def world_correction(mentioned: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Papers that `continuity_correct` adds to each cell of world strata.
+def corrected_cells(a, b, c, d, present):
+    """README "Zero handling"'s continuity correction, on ``(..., strata)`` cells.
 
-    `present` counts the groups with papers in each stratum.
+    Takes a group's mentioned and not-mentioned cells `a` and `b`, the
+    world's `c` and `d` in the same strata, and `present`, the number of
+    groups with papers in each stratum, which moves only the world cells.
+    Returns the corrected ``(a, b, c, d)`` and the mask of corrected group strata.
     """
-    return np.where(mentioned == 0, 0.5 * np.maximum(present, 1), 0.0)
-
-
-def group_correction(
-    mentioned: np.ndarray, total: np.ndarray, world_mentioned: np.ndarray
-) -> np.ndarray:
-    """Where `continuity_correct` adds 0.5 papers to each cell of a group.
-
-    The world's mentioned counts are those of the group's strata.
-    """
-    return (total > 0) & ((mentioned == 0) | (world_mentioned == 0))
+    fixed = (a + b > 0) & ((a == 0) | (c == 0))
+    half = 0.5 * fixed
+    added = np.where(c == 0, 0.5 * np.maximum(present, 1), 0.0)
+    return a + half, b + half, c + added, d + added, fixed
 
 
 def continuity_correct(
@@ -714,14 +710,17 @@ def continuity_correct(
 ) -> CorrectionResult:
     """Apply 0.5 continuity corrections wherever a mentioned cell is empty.
 
-    Two situations trigger a correction in a stratum:
+    Two situations trigger a correction in a stratum (`corrected_cells`):
 
     * The world has no mentioned papers there. Every group present in the
       stratum gains 0.5 mentioned and 0.5 not-mentioned papers, and the
       world cell gains 0.5 of each per corrected group (at least one), so
       the corrected world still dominates the sum of its corrected groups.
     * The world has mentioned papers but some group present there does
-      not. Only that group's cell is corrected.
+      not. Only that group's cell is corrected, and the world's is not, so
+      dominance holds only in the first case: a group that also holds all
+      of the stratum's unmentioned papers ends up with more of them than
+      the world, and `mnpc` refuses the corrected profiles.
 
     Already-positive cells are never touched, so applying the correction
     twice changes nothing. Each adjusted cell is reported in `notes`, in
@@ -734,29 +733,27 @@ def continuity_correct(
         If a group has strata absent from the world.
     """
     keys = world.strata()
-    world_mentioned = world.counts[:, 0]
+    c, d = world.counts.T
     present = np.zeros(len(world), dtype=np.int64)
     notes: list[tuple[int, str, str]] = []
     corrected_groups = {}
     for label, profile in groups.items():
         rows = world_rows(world, profile)
-        mentioned, not_mentioned = profile.counts.T
-        total = mentioned + not_mentioned
-        present[rows] += total > 0
-        fixed = group_correction(mentioned, total, world_mentioned[rows])
+        a, b = profile.counts.T
+        present[rows] += a + b > 0
+        a, b, _, _, fixed = corrected_cells(a, b, c[rows], d[rows], present[rows])
         note = f"group {label!r} mentioned cell corrected by 0.5"
         notes.extend((row, label, note) for row in rows[fixed].tolist())
-        corrected_groups[label] = profile._with(
-            profile.strata(), profile.counts + 0.5 * fixed[:, None]
-        )
+        corrected_groups[label] = profile._with(profile.strata(), np.stack((a, b), -1))
 
-    added = world_correction(world_mentioned, present)
+    _, _, c_c, d_c, _ = corrected_cells(c, d, c, d, present)
+    # A world cell changes only where it was empty, so c_c is what it gained.
     notes.extend(
-        (row, "", f"world mentioned cell corrected by {added[row]:g}")
-        for row in np.flatnonzero(added).tolist()
+        (row, "", f"world mentioned cell corrected by {c_c[row]:g}")
+        for row in np.flatnonzero(c_c != c).tolist()
     )
     return CorrectionResult(
-        world._with(keys, world.counts + added[:, None]),
+        world._with(keys, np.stack((c_c, d_c), -1)),
         corrected_groups,
         tuple(f"stratum {keys[row]}: {note}" for row, _, note in sorted(notes)),
     )

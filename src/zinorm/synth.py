@@ -56,8 +56,7 @@ from .profiles import (
     _put,
     apply_filters,
     build_profiles,
-    group_correction,
-    world_correction,
+    corrected_cells,
     year_error,
     years_outside,
 )
@@ -459,9 +458,9 @@ def _replication_estimates(
     """EMNPC, MNPC and MHq of the replications `reps`, one group at a time.
 
     Yields each group with papers and its (len(reps),) estimates: EMNPC
-    and MHq on the raw draws, MNPC on draws corrected by the rule that
-    `continuity_correct` applies to profiles, as the report pipeline
-    computes them.
+    and MHq on the raw draws, MNPC on draws corrected by `corrected_cells`,
+    the rule that `continuity_correct` applies to profiles, as the report
+    pipeline computes them.
     """
     group_draws, world_draws = _replication_draws(spec, reps)
     n = np.array([s.world_size for s in spec.strata], dtype=np.float64)
@@ -474,15 +473,15 @@ def _replication_estimates(
         m = m[in_group]
         a = draws[:, in_group]
         c = world_draws[:, in_group]
-        fixed = group_correction(a, m, c)
-        added = world_correction(c, present[in_group])
-        a_c, m_c = a + 0.5 * fixed, m + fixed
-        c_c, n_c = c + added, n[in_group] + 2 * added
-        # mnpc_arrays sets the peak memory: keep only its inputs alive, only for it.
-        del fixed, added
-        mnpc = mnpc_arrays(a_c, m_c, c_c, n_c)
+        a_c, b_c, c_c, d_c = corrected_cells(
+            a, m - a, c, n[in_group] - c, present[in_group]
+        )[:4]
         # The report's mnpc refuses a corrected group cell above its world cell.
-        refused = ((a_c > c_c) | (m_c - a_c > n_c - c_c)).any(axis=-1)
+        refused = ((a_c > c_c) | (b_c > d_c)).any(axis=-1)
+        # mnpc_arrays sets the peak memory: keep only its inputs alive, only for it.
+        m_c, n_c = a_c + b_c, c_c + d_c
+        del b_c, d_c
+        mnpc = mnpc_arrays(a_c, m_c, c_c, n_c)
         del a_c, m_c, c_c, n_c
         mnpc = _estimate(*mnpc[:3], mnpc.degenerate | refused, mnpc.strata_used)
         yield group.label, {

@@ -2,6 +2,8 @@ import logging
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from zinorm import (
     CellCounts,
@@ -13,6 +15,7 @@ from zinorm import (
     apply_filters,
     build_profiles,
     continuity_correct,
+    mnpc,
 )
 
 from conftest import cells, table
@@ -264,6 +267,90 @@ class TestContinuityCorrect:
             cells(result.groups[name])[k("f")].mentioned for name in groups
         )
         assert cells(result.world)[k("f")].mentioned >= total_mentioned
+
+
+@st.composite
+def sparse_worlds(draw):
+    """World cells and each group's cells per stratum, as `build_profiles` inputs.
+
+    Cells run 0-6; a world stratum may have no mentioned papers, and a
+    group may hold all of a stratum's papers. A group holds the first of
+    the stratum's mentioned and unmentioned papers, so groups overlap.
+    """
+    labels = draw(st.permutations(["m", "b", "z", "a"]))[: draw(st.integers(1, 4))]
+    strata = {}
+    for i in range(draw(st.integers(1, 6))):
+        c = draw(st.one_of(st.just(0), st.integers(0, 6)))
+        d = draw(st.integers(0, 6))
+        if c + d == 0:
+            continue
+        held = {}
+        for label in labels:
+            if draw(st.integers(0, 3)) == 0:
+                held[label] = (c, d)
+            else:
+                held[label] = (draw(st.integers(0, c)), draw(st.integers(0, d)))
+        strata[k(f"f{i}", 2000 + i % 2)] = ((c, d), held)
+    rows, pairs = [], []
+    for key, ((c, d), held) in strata.items():
+        mentioned = [f"{key}:m{j}" for j in range(c)]
+        unmentioned = [f"{key}:u{j}" for j in range(d)]
+        rows += [(paper, key.field_id, key.year, 1) for paper in mentioned]
+        rows += [(paper, key.field_id, key.year, 0) for paper in unmentioned]
+        for label, (a, b) in held.items():
+            pairs += [(paper, label) for paper in mentioned[:a] + unmentioned[:b]]
+    return strata, rows, pairs
+
+
+def readme_correction(strata):
+    """README "Zero handling", restated: corrected cells and the notes.
+
+    A world stratum with no mentioned papers gains 0.5 on each cell per
+    group present there (at least 0.5), and each present group 0.5 on each
+    cell; where only a group has no mentioned papers, only it gains 0.5.
+    Notes run by stratum, the world first, then the groups by label.
+    """
+    world, groups, notes = {}, {}, []
+    for key in sorted(strata):
+        (c, d), held = strata[key]
+        present = sorted(label for label, (a, b) in held.items() if a + b > 0)
+        added = 0.5 * max(len(present), 1) if c == 0 else 0.0
+        world[key] = (c + added, d + added)
+        if added:
+            notes.append(f"stratum {key}: world mentioned cell corrected by {added:g}")
+        for label in present:
+            a, b = held[label]
+            half = 0.5 if a == 0 or c == 0 else 0.0
+            groups.setdefault(label, {})[key] = (a + half, b + half)
+            if half:
+                notes.append(f"stratum {key}: group {label!r} mentioned cell corrected by 0.5")
+    return world, groups, tuple(notes)
+
+
+@given(sparse_worlds())
+def test_correction_follows_readme_and_mnpc_refuses_only_the_known_defect(drawn):
+    strata, rows, pairs = drawn
+    assume(rows)
+    world, groups = build_profiles(table(rows), pairs)
+    result = continuity_correct(world, groups)
+    expected_world, expected_groups, expected_notes = readme_correction(strata)
+    assert cells(result.world) == expected_world
+    assert {label: cells(p) for label, p in result.groups.items()} == expected_groups
+    assert result.notes == expected_notes
+    for label, profile in result.groups.items():
+        # The known defect: a group with no mentioned papers where the
+        # world has some, holding all of the stratum's unmentioned papers,
+        # gets more unmentioned papers than the world.
+        defect = any(
+            c > 0 and a == 0 and b == d > 0
+            for (c, d), held in strata.values()
+            for a, b in [held[label]]
+        )
+        if defect:
+            with pytest.raises(InputDataError, match="counts exceed the world counts"):
+                mnpc(profile, result.world)
+        else:
+            mnpc(profile, result.world)
 
 
 def _interleaved_profiles():

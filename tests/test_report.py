@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import logging
@@ -21,6 +22,7 @@ from zinorm import (
     render_table,
     run_report,
 )
+from zinorm.cli import main
 from zinorm.report import result_payload
 from zinorm.indicators import IndicatorResult
 from zinorm.profiles import PublicationRecord, Publications
@@ -387,15 +389,35 @@ MALFORMED_BASE = {
 
 
 def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "zinorm", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    """`zinorm *args` with its exit code, stdout and stderr.
+
+    Runs `main` in this process unless `env_extra` sets variables: those
+    runs (`ZINORM_LOG`) get a fresh process, since `logging.basicConfig`
+    configures a process only once. In this process the root logger's
+    handlers are cleared, so that `main` logs to the captured stderr, and
+    the handlers and the level are restored after.
+    """
+    if env_extra is not None:
+        return subprocess.run(
+            [sys.executable, "-m", "zinorm", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, **env_extra},
+        )
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(list(args))
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+    return subprocess.CompletedProcess(args, code, stdout.getvalue(), stderr.getvalue())
 
 
 class TestCli:

@@ -235,29 +235,43 @@ def _hash(words: list[np.ndarray], width: np.ndarray) -> np.ndarray:
     return mixed
 
 
-def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Codes numbering the distinct values of `key` in sorted order, and one row of each."""
-    order = np.argsort(key)
-    ordered = key[order]
-    new = np.empty(len(key), bool)
+def _starts(ordered: np.ndarray) -> np.ndarray:
+    """True where sorted `ordered` holds a value unlike the one before it."""
+    new = np.empty(len(ordered), bool)
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return new
+
+
+def _distinct(key: np.ndarray) -> np.ndarray:
+    """The distinct values of `key`, sorted, by one sort (`np.unique` would hash them)."""
+    ordered = np.sort(key)
+    return ordered[_starts(ordered)]
+
+
+def _group(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Codes numbering the distinct values of `key` in sorted order, one row of each, and
+    all rows in code order."""
+    order = np.argsort(key)
+    new = _starts(key[order])
     codes = np.empty(len(key), np.intp)
     codes[order] = np.cumsum(new) - 1
-    return codes, order[new]
+    return codes, order[new], order
 
 
-def _code(ids: _Spans) -> tuple[np.ndarray, np.ndarray]:
-    """The code of each id, equal exactly where the ids are equal, and one row of each code.
+def _code(ids: _Spans, *columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The code of each id, equal exactly where the ids are equal, one row of each code, and
+    all rows in code order.
 
-    An id's key is its one word, or the hash of its words and width. Each
-    row is checked against a row of its key's code; where any differs (a
-    hash collision, or ids such as ``"p"`` and ``"p\\x00"`` whose padded
-    words agree), the rows of those codes are coded again by an exact sort
-    of their words and widths.
+    Each of `columns`, integers of one value per id, is one more part of
+    the id. An id's key is its one word, or the hash of its words, width
+    and columns. Each row is checked against a row of its key's code; where
+    any differs (a hash collision, or ids such as ``"p"`` and ``"p\\x00"``
+    whose padded words agree), the rows of those codes are coded again by
+    an exact sort of their words, widths and columns.
     """
-    words = _words(ids)
-    codes, rows = _group(words[0] if len(words) == 1 else _hash(words, ids.width))
+    words = _words(ids) + [column.astype(np.uint64) for column in columns]
+    codes, rows, order = _group(words[0] if len(words) == 1 else _hash(words, ids.width))
     of_code = rows[codes]
     clash = ids.width != ids.width[of_code]
     for word in words:
@@ -268,17 +282,23 @@ def _code(ids: _Spans) -> tuple[np.ndarray, np.ndarray]:
         exact = np.column_stack([*(word[suspect] for word in words), width])
         _, within = np.unique(exact, axis=0, return_inverse=True)
         codes[suspect] = len(rows) + within.ravel()
-        codes, rows = _group(codes)
-    return codes, rows
+        codes, rows, order = _group(codes)
+    return codes, rows, order
+
+
+def _ranked(distinct: list) -> tuple[list[int], np.ndarray]:
+    """The order that sorts `distinct`, and the rank in it of each item."""
+    order = sorted(range(len(distinct)), key=distinct.__getitem__)
+    rank = np.empty(len(order), np.intp)
+    rank[order] = np.arange(len(order))
+    return order, rank
 
 
 def _sorted_codes(ids: _Spans) -> tuple[list[str], np.ndarray]:
     """The sorted distinct `ids` and the index of each id among them."""
-    codes, rows = _code(ids)
+    codes, rows, _ = _code(ids)
     distinct = ids.decode(rows)
-    order = sorted(range(len(distinct)), key=distinct.__getitem__)
-    rank = np.empty(len(order), np.intp)
-    rank[order] = np.arange(len(order))
+    order, rank = _ranked(distinct)
     return [distinct[i] for i in order], rank[codes]
 
 
@@ -550,24 +570,30 @@ def build_profiles(
     """
     start = time.perf_counter()
     members = Membership.of(memberships)
-    # Years lie in `DEFAULT_YEAR_RANGE`, so a field and a year make one code.
-    low, high = DEFAULT_YEAR_RANGE
-    stratum_codes, first_rows = _group(table.field_codes * (high - low + 1) + (table.year - low))
-    field_ids = map(table.fields.__getitem__, table.field_codes[first_rows].tolist())
-    keys = tuple(map(StratumKey, field_ids, table.year[first_rows].tolist()))
+    # Strata coded from the field bytes and the year, numbered in key order.
+    stratum_codes, first_rows, _ = _code(table._field, table.year)
+    distinct = list(zip(table._field.decode(first_rows), table.year[first_rows].tolist()))
+    order, rank = _ranked(distinct)
+    stratum_codes, first_rows = rank[stratum_codes], first_rows[order]
+    # Keys are made in key order, with one string per field, so that they
+    # lie in memory in the order that the filters and indicators read them;
+    # made in code order, they slowed a 10k-strata filter session by a fifth.
+    shared: dict[str, str] = {}
+    fields = [shared.setdefault(field, field) for field in table._field.decode(first_rows)]
+    keys = tuple(map(StratumKey, fields, table.year[first_rows].tolist()))
     unmentioned = table.mentions == 0
 
-    # The table's and the memberships' paper ids, coded together.
+    # The table's and the memberships' paper ids, coded together; the
+    # table's rows in code order hold each paper's rows as one run.
     paper_ids = table._paper + members._paper
-    paper_codes, of_paper = _code(paper_ids)
+    paper_codes, of_paper, by_paper = _code(paper_ids)
+    by_paper = by_paper[by_paper < len(table)]
     paper_codes, member_papers = paper_codes[: len(table)], paper_codes[len(table):]
     per_paper = np.bincount(paper_codes, minlength=len(of_paper))
 
-    # Rows sorted by paper and stratum: a repeated row is next to its first one.
+    # Sorted, a repeated (paper, stratum) row is next to its first one.
     assignments = paper_codes * len(keys) + stratum_codes
-    by_paper = np.argsort(assignments)
-    ordered = assignments[by_paper]
-    if (ordered[1:] == ordered[:-1]).any():
+    if not _starts(np.sort(assignments)).all():
         repeated = np.ones(len(table), bool)
         repeated[np.unique(assignments, return_index=True)[1]] = False
         row = repeated.argmax()
@@ -593,12 +619,12 @@ def build_profiles(
     ))
     if broken:
         raise InputDataError(broken[1])
-    pairs = np.unique(member_papers * len(labels) + member_groups)
+    pairs = _distinct(member_papers * len(labels) + member_groups)
     if duplicates := len(members) - len(pairs):
         logger.warning("collapsed %d duplicate membership pair(s)", duplicates)
 
     # Pair each membership with every row of its paper, reading the
-    # paper's run of rows from the rows sorted by paper.
+    # paper's run of rows from the rows in paper order.
     member_papers, member_groups = np.divmod(pairs, len(labels))
     reps = per_paper[member_papers]
     shift = np.cumsum(per_paper)[member_papers] - np.cumsum(reps)

@@ -43,6 +43,8 @@ from .profiles import (
     FilterConfig,
     Membership,
     Publications,
+    _distinct,
+    _items,
     _Spans,
     apply_filters,
     build_profiles,
@@ -59,15 +61,21 @@ PERCENT_RENDER_LIMIT = 2.0
 
 
 def _digits(column: _Spans) -> np.ndarray | None:
-    """The numbers that `column` writes in decimal, or None if a byte is not a digit."""
-    stop = column.start + column.width
-    value = np.zeros(len(stop), np.int64)
-    for place in range(int(column.width.max())):
-        digit = column.buf.take(stop - 1 - place, mode="clip").astype(np.int64) - ord("0")
-        digit[column.width <= place] = 0
-        if ((digit < 0) | (digit > 9)).any():
+    """The numbers that `column` writes in decimal, or None if a byte is not a digit.
+
+    The spans of each width are read with one gather, as rows of digits
+    that one product with the place values turns into numbers.
+    """
+    value = np.zeros(len(column), np.int64)
+    count = np.bincount(column.width)
+    for width in (np.flatnonzero(count[1:]) + 1).tolist():
+        rows = slice(None) if count[width] == len(column) else column.width == width
+        spans = _items(column.buf, width)[column.start[rows]]
+        # In uint8, a byte below "0" wraps around to above 9.
+        digits = spans.view(np.uint8).reshape(-1, width) - np.uint8(ord("0"))
+        if (digits > 9).any():
             return None
-        value += digit * 10**place
+        value[rows] = np.einsum("ij,j->i", digits, 10 ** np.arange(width - 1, -1, -1))
     return value
 
 
@@ -405,7 +413,7 @@ def run_report(config: ReportConfig) -> dict:
 
     notes: list[str] = []
     if config.collapse_years:
-        years = np.unique(table.year)
+        years = _distinct(table.year)
         table = copy.copy(table)
         table.year = np.full_like(table.year, years[0])
         if len(years) > 1:

@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -6,12 +7,22 @@ import pytest
 from zinorm import build_profiles, parse_membership, parse_publications
 from zinorm.profiles import Publications
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 
 PUBLICATIONS_CSV = FIXTURES / "small_world_publications.csv"
 MEMBERSHIP_CSV = FIXTURES / "small_world_membership.csv"
 COVERAGE_SPEC = FIXTURES / "coverage_spec.json"
 VALIDITY_SPEC = FIXTURES / "validity_spec.json"
+
+
+def source_env() -> dict:
+    """The environment with the repository's ``src`` first on ``PYTHONPATH``, for child processes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -43,6 +43,7 @@ from conftest import (
     PUBLICATIONS_CSV,
     VALIDITY_SPEC,
     cells,
+    source_env,
 )
 
 
@@ -309,6 +310,7 @@ def test_criterion_6_byte_identical_reports(tmp_path):
                         "--format", fmt,
                     ],
                     capture_output=True,
+                    env=source_env(),
                 )
                 assert proc.returncode == 0, proc.stderr
                 outputs.append(proc.stdout)

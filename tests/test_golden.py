@@ -13,14 +13,13 @@ sha256 digests in `SYNTH_DIGESTS`; after an intended change, run
 """
 
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, source_env
+
 GOLDEN = ROOT / "tests" / "fixtures" / "golden"
 
 REPORT_ARGS = (
@@ -57,15 +56,6 @@ SYNTH_DIGESTS = {
         "ca257759485c5db02a742ac66b228ec7382b602e2b45dca404e9ff6ca71e0d2d",
     ),
 }
-
-
-def source_env() -> dict:
-    """The environment with the repository's ``src`` first on ``PYTHONPATH``."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    return env
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

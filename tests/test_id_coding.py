@@ -195,12 +195,24 @@ class TestCoder:
     @settings(max_examples=200)
     def test_codes_partition_rows_as_dict_coding(self, ids, collide):
         with mock.patch.object(profiles, "_hash", constant_hash if collide else profiles._hash):
-            codes, rows = profiles._code(profiles._Spans.of(ids))
+            codes, rows, _ = profiles._code(profiles._Spans.of(ids))
         assert sorted(set(codes.tolist())) == list(range(len(rows)))
         assert [ids[row] for row in rows[codes].tolist()] == ids
         # Equal codes exactly where the ids are equal: the same partition.
         renumbered = dict_codes(codes.tolist())
         assert renumbered == dict_codes(ids)
+
+    @given(id_lists(), st.data(), st.booleans())
+    @settings(max_examples=200)
+    def test_columns_are_part_of_the_id(self, ids, data, collide):
+        size = len(ids)
+        years = data.draw(st.lists(st.sampled_from([1900, 2000, 2100]), min_size=size, max_size=size))
+        with mock.patch.object(profiles, "_hash", constant_hash if collide else profiles._hash):
+            codes, rows, order = profiles._code(profiles._Spans.of(ids), np.array(years))
+        assert dict_codes(codes.tolist()) == dict_codes(list(zip(ids, years)))
+        assert sorted(set(codes.tolist())) == list(range(len(rows)))
+        # The rows in code order: each code's rows are one run.
+        assert codes[order].tolist() == sorted(codes.tolist())
 
     @given(id_lists())
     def test_sorted_codes_sort_as_python_strings(self, ids):
@@ -220,7 +232,7 @@ class TestCoder:
     )
     def test_clashing_keys_are_split_exactly(self, ids):
         with mock.patch.object(profiles, "_hash", constant_hash):
-            codes, _ = profiles._code(profiles._Spans.of(ids))
+            codes, _, _ = profiles._code(profiles._Spans.of(ids))
         assert dict_codes(codes.tolist()) == dict_codes(ids)
 
     def test_spans_decode_what_they_encode(self):

@@ -25,8 +25,14 @@ from zinorm import (
     parse_publications,
 )
 from zinorm.indicators import IndicatorResult
-from zinorm.profiles import PublicationRecord
-from zinorm.report import _csv_membership, _csv_publications, _plain_membership, _plain_publications
+from zinorm.profiles import PublicationRecord, _Spans
+from zinorm.report import (
+    _csv_membership,
+    _csv_publications,
+    _digits,
+    _plain_membership,
+    _plain_publications,
+)
 
 from conftest import cells, table
 
@@ -444,3 +450,41 @@ class TestParsePaths:
             # A declined text goes to the csv path whole.
             fast_outcome = parse_outcome(parse_membership, io.StringIO(text, newline=""))
         assert fast_outcome == csv_outcome
+
+
+#: Bytes next to the digits in ASCII, and bytes that are not ASCII.
+NOT_DIGITS = [b"/", b":", b"\x80", b"\xff", b" ", b"+", b"-", b"_", b",", b"\x00", b"a"]
+
+
+@st.composite
+def digit_columns(draw):
+    """Numbers of 1 to 18 digits with leading zeros, as spans of one buffer, a comma after each.
+
+    Half the columns have one byte in one span replaced by a byte that is
+    not a digit.
+    """
+    texts = draw(st.lists(st.text("0123456789", min_size=1, max_size=18), min_size=1, max_size=30))
+    spans = [text.encode() for text in texts]
+    bad = None
+    if draw(st.booleans()):
+        row = draw(st.integers(0, len(spans) - 1))
+        at = draw(st.integers(0, len(spans[row]) - 1))
+        byte = draw(st.sampled_from(NOT_DIGITS) | st.binary(min_size=1, max_size=1))
+        assume(not byte.isdigit())
+        spans[row] = spans[row][:at] + byte + spans[row][at + 1:]
+        bad = byte
+    width = np.array([len(span) for span in spans], np.int64)
+    buf = np.frombuffer(b"".join(span + b"," for span in spans), np.uint8)
+    return _Spans(buf, np.cumsum(width + 1) - width - 1, width), texts, bad
+
+
+class TestDigits:
+    @given(digit_columns())
+    @settings(max_examples=400)
+    def test_digits_read_as_int_or_refuse_a_non_digit(self, column):
+        spans, texts, bad = column
+        value = _digits(spans)
+        if bad is None:
+            assert value.tolist() == [int(text) for text in texts]
+        else:
+            assert value is None

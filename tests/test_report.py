@@ -27,7 +27,7 @@ from zinorm.report import result_payload
 from zinorm.indicators import IndicatorResult
 from zinorm.profiles import PublicationRecord, Publications
 
-from conftest import COVERAGE_SPEC, MEMBERSHIP_CSV, PUBLICATIONS_CSV
+from conftest import COVERAGE_SPEC, MEMBERSHIP_CSV, PUBLICATIONS_CSV, source_env
 
 ALL_KINDS = tuple(IndicatorKind)
 
@@ -402,7 +402,7 @@ def run_cli(*args, env_extra=None):
             [sys.executable, "-m", "zinorm", *args],
             capture_output=True,
             text=True,
-            env={**os.environ, **env_extra},
+            env={**source_env(), **env_extra},
         )
     root = logging.getLogger()
     handlers, level = root.handlers[:], root.level
@@ -479,6 +479,34 @@ class TestCli:
         )
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout)["groups"] == json.loads(plain.stdout)["groups"]
+
+    def test_integer_spellings_that_int_reads_are_accepted(self, tmp_path):
+        # Years and mention counts are read as Python's int() reads them
+        # (README "Input format"): digit-group underscores, surrounding
+        # spaces, a plus sign, leading zeros and non-ASCII decimal digits.
+        fullwidth = str.maketrans("0123456789", "０１２３４５６７８９")
+        spellings = [
+            "_".join,
+            lambda digits: f" {digits} ",
+            lambda digits: f"+{digits}",
+            lambda digits: digits.translate(fullwidth),
+            lambda digits: f"00{digits}",
+        ]
+        head, *lines = PUBLICATIONS_CSV.read_text().splitlines()
+        respelled = [head]
+        for i, line in enumerate(lines):
+            paper, field, year, mentions = line.split(",")
+            year, mentions = spellings[i % 5](year), spellings[(i + 1) % 5](mentions)
+            respelled.append(",".join([paper, field, year, mentions]))
+        pubs = tmp_path / "publications.csv"
+        pubs.write_text("\n".join(respelled) + "\n", encoding="utf-8")
+        args = ("--membership", str(MEMBERSHIP_CSV), "--indicators", "mhq", "--format", "json")
+        result = run_cli("compute", "--publications", str(pubs), *args)
+        plain = run_cli("compute", "--publications", str(PUBLICATIONS_CSV), *args)
+        assert result.returncode == 0, result.stderr
+        doc, plain_doc = json.loads(result.stdout), json.loads(plain.stdout)
+        assert doc["groups"] == plain_doc["groups"]
+        assert doc["audit"]["publications"] == plain_doc["audit"]["publications"]
 
     def test_table_without_result_rows(self, tmp_path):
         # With no groups only the world row is reported, and it has no mhq_prime.

@@ -317,11 +317,10 @@ class Publications:
     """Publication rows as columns, checked against the row rules when built.
 
     The paper and field ids are spans of UTF-8 bytes, made from lists of
-    strings when given those; `paper_id` is decoded, and `fields` and
-    `field_codes` into them coded, when first read. `year` and `mentions`
-    are int64 arrays, and `line` holds each row's 1-based input line, or is
-    None for rows not read from a file. The first row with an empty id, a
-    year outside `DEFAULT_YEAR_RANGE` or a negative mention count raises
+    strings when given those. `year` and `mentions` are int64 arrays, and
+    `line` holds each row's 1-based input line, or is None for rows not
+    read from a file. The first row with an empty id, a year outside
+    `DEFAULT_YEAR_RANGE` or a negative mention count raises
     `InputDataError`, prefixed with ``line N: `` when lines are known.
     Iteration yields the rows as `PublicationRecord`s.
     """
@@ -342,22 +341,6 @@ class Publications:
             # Only mentioned-or-not is read, so a count past int64 keeps its maximum.
             mentions = np.minimum(mentions, 2**63 - 1).astype(np.int64)
         self.year, self.mentions = year.astype(np.int64, copy=False), mentions
-
-    @cached_property
-    def paper_id(self) -> list[str]:
-        return self._paper.decode()
-
-    @cached_property
-    def _coded_fields(self) -> tuple[list[str], np.ndarray]:
-        return _sorted_codes(self._field)
-
-    @property
-    def fields(self) -> list[str]:
-        return self._coded_fields[0]
-
-    @property
-    def field_codes(self) -> np.ndarray:
-        return self._coded_fields[1]
 
     def __len__(self) -> int:
         return len(self._paper)

@@ -40,6 +40,11 @@ def table(rows):
     return Publications(*map(list, zip(*rows)))
 
 
+def columns(table):
+    """The paper ids, field ids, years and mentions of a `Publications` table, as lists."""
+    return [table._paper.decode(), table._field.decode(), table.year.tolist(), table.mentions.tolist()]
+
+
 class Cell(NamedTuple):
     mentioned: float
     not_mentioned: float

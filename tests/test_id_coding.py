@@ -23,6 +23,8 @@ from zinorm import InputDataError, StratumKey, build_profiles, parse_membership,
 from zinorm import profiles
 from zinorm.report import PUBLICATION_HEADER
 
+from conftest import columns
+
 PLAIN = ["a", "b", "z", "0", "é", "€", "𝄞", "\x00"]
 QUOTED = PLAIN + [",", '"', "\n"]
 
@@ -103,10 +105,7 @@ def as_cells(profile):
 
 def assert_matches_reference(rows, pairs):
     table = parsed(rows)
-    field_ids = [field for _, field, _, _ in rows]
-    assert table.fields == sorted(set(field_ids))
-    assert [table.fields[code] for code in table.field_codes.tolist()] == field_ids
-    assert table.paper_id == [paper for paper, _, _, _ in rows]
+    assert columns(table) == [list(column) for column in zip(*rows)]
     profiles_ = build_profiles(table, pairs)
     world, groups = profiles_
     ref_world, ref_groups, papers, distinct_pairs = reference(rows, pairs)

@@ -27,6 +27,19 @@ class TestCategories:
         assert verdict.p_label == "p ≈ .01"
         assert verdict.overlap_proportion == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "lower, higher, overlap",
+        [
+            (result(1.5e-9, 0.5e-9, 2e-9), result(3e-9, 1e-9, 4e-9), 1e-9),
+            (result(0.75e-9, 0.5e-9, 1e-9), result(3e-9, 2e-9, 4e-9), -1e-9),
+        ],
+        ids=["plus", "minus"],
+    )
+    def test_touch_band_edges_are_inclusive(self, lower, higher, overlap):
+        assert min(lower.ci_upper, higher.ci_upper) - max(lower.ci_lower, higher.ci_lower) == overlap
+        verdict = classify_overlap(lower, higher)
+        assert verdict.category is OverlapCategory.TOUCH
+
     def test_moderate_boundary_half_is_inclusive(self):
         # overlap 0.1 against facing arms 0.2/0.2 -> proportion exactly 0.5
         verdict = classify_overlap(result(1.0, 0.8, 1.2), result(1.3, 1.1, 1.5))
@@ -93,8 +106,13 @@ class TestCaveat:
 
 class TestDegenerate:
     def test_zero_arm_rejected(self):
-        with pytest.raises(DegenerateComputationError, match="zero length"):
-            classify_overlap(result(1.0, 0.5, 1.0), result(2.0, 1.5, 2.5))
+        # The lower result's upper arm is zero, then the higher result's lower arm.
+        for lower, higher in [
+            (result(1.0, 0.5, 1.0), result(2.0, 1.5, 2.5)),
+            (result(1.0, 0.5, 1.5), result(2.0, 2.0, 2.5)),
+        ]:
+            with pytest.raises(DegenerateComputationError, match="zero length"):
+                classify_overlap(lower, higher)
 
 
 def test_worked_example_mhq_sets_overlap_substantially(small_world):

@@ -129,6 +129,7 @@ class TestApplyFilters:
             "world",
             {
                 k("big"): CellCounts(30, 70),
+                k("exact"): CellCounts(4, 6),
                 k("small"): CellCounts(2, 3),
                 k("zero"): CellCounts(0, 20),
             },
@@ -144,6 +145,7 @@ class TestApplyFilters:
         world, groups = self._profiles()
         result = apply_filters(world, groups, FilterConfig(min_stratum_papers=10))
         assert k("small") not in result.world.strata()
+        assert k("exact") in result.world.strata()  # exactly 10 papers is enough
         assert k("zero") in result.world.strata()
         reasons = dict(result.removed)
         assert "fewer than 10" in reasons[k("small")]

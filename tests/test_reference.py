@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zinorm import (
@@ -186,6 +186,9 @@ def check(indicator, group_and_world, expected):
     "indicator, rows", [(mhq, list), (mhq_prime, complement)], ids=["mhq", "mhq_prime"]
 )
 @given(tables=st.lists(stratum(), min_size=1, max_size=8))
+@example(tables=[(1, 2, 5, 2)])  # MHq: s is exactly 1 and r is 0.2
+@example(tables=[(1, 0, 1, 1)])  # MHq: r > 0 = s
+@example(tables=[(0, 1, 1, 1)])  # MHq: r = 0 < s
 @settings(max_examples=200)
 def test_mh_quotient_matches_exact_reference(indicator, rows, tables):
     expected = mh_reference(rows(tables)) if rows(tables) else None

@@ -10,7 +10,9 @@ Each formula is written once, as an array function over cells shaped
 ``(..., strata)`` that returns an `Estimate`: a single report evaluates it
 on 1-D cells through the profile-level functions (`emnpc`, `mnpc`, `mhq`,
 `mhq_prime`), and the coverage experiment on ``(replications, strata)``
-cells.
+cells, into scratch buffers it passes as ``out`` and reuses from block to
+block. With or without ``out``, each element goes through the same IEEE
+operations in the same order, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ def _mentioned_and_total(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mentioned, total
 
 
-def _equalized(mentioned: np.ndarray, total: np.ndarray) -> np.ndarray:
-    return (mentioned / total).mean(axis=-1)
+def _equalized(mentioned: np.ndarray, total: np.ndarray, out=None) -> np.ndarray:
+    """Mean mentioned proportion over the strata; `out` takes the proportions."""
+    return np.divide(mentioned, total, out=out).mean(axis=-1)
 
 
 class Estimate(NamedTuple):
@@ -132,12 +135,21 @@ def emnpc_arrays(
     of the world baseline, so the two strata axes may differ in length.
     Degenerate where either equalized proportion is zero.
     """
+    return _emnpc(
+        _equalized(group_mentioned, group_total),
+        group_total.sum(axis=-1),
+        _equalized(world_mentioned, world_total),
+        world_total.sum(axis=-1),
+        np.shape(group_mentioned)[-1],
+    )
+
+
+def _emnpc(p_g, group_papers, p_w, world_papers, strata: int) -> Estimate:
+    """EMNPC from the equalized proportions and paper totals of group and world."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_g = _equalized(group_mentioned, group_total)
-        p_w = _equalized(world_mentioned, world_total)
         half_width = Z95 * np.sqrt(
-            ((1.0 - p_g) / p_g) / group_total.sum(axis=-1)
-            + ((1.0 - p_w) / p_w) / world_total.sum(axis=-1)
+            ((1.0 - p_g) / p_g) / group_papers
+            + ((1.0 - p_w) / p_w) / world_papers
         )
         value = p_g / p_w
         return _estimate(
@@ -145,7 +157,7 @@ def emnpc_arrays(
             value * np.exp(-half_width),
             value * np.exp(half_width),
             (p_g == 0) | (p_w == 0),
-            np.shape(group_mentioned)[-1],
+            strata,
         )
 
 
@@ -154,44 +166,75 @@ def mnpc_arrays(
     group_total: np.ndarray,
     world_mentioned: np.ndarray,
     world_total: np.ndarray,
+    out=None,
 ) -> Estimate:
     """MNPC over per-stratum counts shaped ``(..., strata)``.
 
     Group and world counts both cover the group's strata. Degenerate where
-    some stratum has a zero group or world mentioned proportion.
+    some stratum has a zero group or world mentioned proportion. `out`, if
+    given, holds six float64 and then two bool arrays shaped like the
+    counts, which take the intermediates; otherwise they are allocated.
     """
+    p_gf, p_wf, weights, ratio, x, y, zero, flag = out or (None,) * 8
     with np.errstate(divide="ignore", invalid="ignore"):
-        p_gf = group_mentioned / group_total
-        p_wf = world_mentioned / world_total
-        weights = group_total / group_total.sum(axis=-1, keepdims=True)
-        ratio = p_gf / p_wf
-        half_width = Z95 * np.sqrt(
-            ((1.0 - p_gf) / p_gf) / group_total
-            + ((1.0 - p_wf) / p_wf) / world_total
+        p_gf = np.divide(group_mentioned, group_total, out=p_gf)
+        p_wf = np.divide(world_mentioned, world_total, out=p_wf)
+        weights = np.divide(
+            group_total, group_total.sum(axis=-1, keepdims=True), out=weights
         )
-        lower_f = ratio * np.exp(-half_width)
-        upper_f = ratio * np.exp(half_width)
-        value = (weights * ratio).sum(axis=-1)
-        lower = value - (weights * (ratio - lower_f)).sum(axis=-1)
-        upper = value + (weights * (upper_f - ratio)).sum(axis=-1)
-    degenerate = ((p_gf == 0) | (p_wf == 0)).any(axis=-1)
+        ratio = np.divide(p_gf, p_wf, out=ratio)
+        # half_width = Z95 * sqrt(((1 - p_gf) / p_gf) / group_total
+        #                         + ((1 - p_wf) / p_wf) / world_total)
+        x = np.subtract(1.0, p_gf, out=x)
+        x /= p_gf
+        x /= group_total
+        y = np.subtract(1.0, p_wf, out=y)
+        y /= p_wf
+        y /= world_total
+        x += y
+        half_width = np.sqrt(x, out=x)
+        half_width *= Z95
+        value = np.multiply(weights, ratio, out=y).sum(axis=-1)
+        # lower_f = ratio * exp(-half_width); weights * (ratio - lower_f)
+        lower_f = np.exp(np.negative(half_width, out=y), out=y)
+        lower_f *= ratio
+        arm = np.subtract(ratio, lower_f, out=y)
+        arm *= weights
+        lower = value - arm.sum(axis=-1)
+        # upper_f = ratio * exp(half_width); weights * (upper_f - ratio)
+        upper_f = np.exp(half_width, out=x)
+        upper_f *= ratio
+        arm = np.subtract(upper_f, ratio, out=x)
+        arm *= weights
+        upper = value + arm.sum(axis=-1)
+    zero = np.equal(p_gf, 0, out=zero)
+    zero |= np.equal(p_wf, 0, out=flag)
+    degenerate = zero.any(axis=-1)
     return _estimate(value, lower, upper, degenerate, np.shape(group_mentioned)[-1])
 
 
 def mh_quotient_arrays(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    d: np.ndarray,
+    n=None,
+    out=None,
 ) -> Estimate:
     """Mantel-Haenszel quotient over cells shaped ``(..., strata)``.
 
     a, b are the group's cells and c, d the comparison row's. The interval
     uses the Robins-Breslow-Greenland log-scale variance. Degenerate where
     the pooled numerator or denominator is zero; ``strata_used`` counts the
-    strata with a nonzero numerator or denominator term.
+    strata with a nonzero numerator or denominator term. Over more than one
+    axis, `n` (a+b+c+d, if the caller has it) and `out` (scratch buffers)
+    go to `mh_batch`.
     """
-    kernel = mh_accumulate if np.ndim(a) == 1 else mh_batch
-    r, s, pr, cross, qs, contributing = (
-        np.asarray(x) for x in kernel(a, b, c, d)
-    )
+    if np.ndim(a) == 1:
+        sums = mh_accumulate(a, b, c, d)
+    else:
+        sums = mh_batch(a, b, c, d, n, out)
+    r, s, pr, cross, qs, contributing = (np.asarray(x) for x in sums)
     with np.errstate(divide="ignore", invalid="ignore"):
         variance = 0.5 * (pr / r**2 + cross / (r * s) + qs / s**2)
         half_width = Z95 * np.sqrt(variance)

@@ -699,18 +699,34 @@ def apply_filters(
     return FilterResult(world._take(keep), filtered_groups, tuple(removed))
 
 
-def corrected_cells(a, b, c, d, present):
+def corrected_cells(a, b, c, d, present, out=None):
     """README "Zero handling"'s continuity correction, on ``(..., strata)`` cells.
 
     Takes a group's mentioned and not-mentioned cells `a` and `b`, the
     world's `c` and `d` in the same strata, and `present`, the number of
     groups with papers in each stratum, which moves only the world cells.
-    Returns the corrected ``(a, b, c, d)`` and the mask of corrected group strata.
+    Returns the corrected ``(a, b, c, d)`` and the mask of corrected group
+    strata. `out`, if given, holds six float64 arrays shaped like the cells
+    (the four results, then two for intermediates) and three bool ones (the
+    mask, then two); otherwise they are allocated.
     """
-    fixed = (a + b > 0) & ((a == 0) | (c == 0))
-    half = 0.5 * fixed
-    added = np.where(c == 0, 0.5 * np.maximum(present, 1), 0.0)
-    return a + half, b + half, c + added, d + added, fixed
+    a_c, b_c, c_c, d_c, half, added, fixed, empty, flag = out or (None,) * 9
+    # A group with no papers in a stratum is not present there: no correction.
+    fixed = np.greater(np.add(a, b, out=half), 0, out=fixed)
+    empty = np.equal(c, 0, out=empty)
+    flag = np.equal(a, 0, out=flag)
+    flag |= empty
+    fixed &= flag
+    half = np.multiply(fixed, 0.5, out=half)
+    # 0.5 per present group (at least 0.5) where c == 0, else 0.0.
+    added = np.multiply(empty, 0.5 * np.maximum(present, 1), out=added)
+    return (
+        np.add(a, half, out=a_c),
+        np.add(b, half, out=b_c),
+        np.add(c, added, out=c_c),
+        np.add(d, added, out=d_c),
+        fixed,
+    )
 
 
 def continuity_correct(

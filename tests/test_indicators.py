@@ -18,6 +18,8 @@ from zinorm import (
     mnpc,
     percent_vs_world,
 )
+from zinorm.indicators import _equalized, mh_quotient_arrays, mnpc_arrays
+from zinorm.profiles import corrected_cells
 from zinorm.report import result_payload
 
 from conftest import cells
@@ -294,3 +296,49 @@ def test_mh_internals_match_hand_accumulation(worked_example):
         r, s, *_ = mh_accumulate(a, b, c, d)
         assert r == pytest.approx(r_expected, abs=1e-5)
         assert s == pytest.approx(s_expected, abs=1e-5)
+
+
+def test_array_core_gives_the_same_bits_in_given_buffers():
+    # The coverage experiment passes scratch buffers (float64, then bool)
+    # to the array core; the results must not move by a bit, and the
+    # inputs must not change.
+    rng = np.random.default_rng(12)
+    shape = (7, 33)
+    m = rng.integers(1, 30, shape[1]).astype(float)
+    a = np.floor(rng.random(shape) * (m + 1))
+    a[:, ::5] = 0
+    c = a + np.floor(rng.random(shape) * 40)
+    c[:, ::7] = a[:, ::7] = 0
+    n = m + 40
+    b, d = m - a, n - c
+    present = rng.integers(0, 3, shape[1])
+    cells_before = [x.copy() for x in (a, b, c, d)]
+
+    def buffers(floats, flags):
+        return (
+            *(np.full(shape, np.nan) for _ in range(floats)),
+            *(np.ones(shape, dtype=bool) for _ in range(flags)),
+        )
+
+    a_c, b_c, c_c, d_c, _ = corrected_cells(a, b, c, d, present)
+    m_c, n_c = a_c + b_c, c_c + d_c
+    for got, want in (
+        (
+            corrected_cells(a, b, c, d, present, out=buffers(6, 3)),
+            corrected_cells(a, b, c, d, present),
+        ),
+        (
+            mnpc_arrays(a_c, m_c, c_c, n_c, out=buffers(6, 2)),
+            mnpc_arrays(a_c, m_c, c_c, n_c),
+        ),
+        (
+            mh_quotient_arrays(a, b, c, d, n=m + n, out=buffers(5, 2)),
+            mh_quotient_arrays(a, b, c, d),
+        ),
+        ([_equalized(a, m, out=buffers(1, 0)[0])], [_equalized(a, m)]),
+    ):
+        for x, y in zip(got, want, strict=True):
+            assert x.dtype == y.dtype
+            assert np.array_equal(x, y, equal_nan=True)
+    for x, before in zip((a, b, c, d), cells_before):
+        assert np.array_equal(x, before)

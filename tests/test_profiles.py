@@ -258,6 +258,21 @@ class TestContinuityCorrect:
         assert twice.groups == once.groups
         assert twice.notes == ()
 
+    def test_group_without_papers_in_a_stratum_is_not_present(self):
+        # README "Zero handling": a group with no papers in a stratum is not
+        # present there. Only a library-made CellCounts(0, 0) reaches this.
+        world = CountProfile(
+            "world", {k("f"): CellCounts(0, 6), k("h"): CellCounts(4, 6)}
+        )
+        groups = {
+            "g": CountProfile("g", {k("f"): CellCounts(0, 0), k("h"): CellCounts(0, 0)})
+        }
+        result = continuity_correct(world, groups)
+        assert cells(result.groups["g"]) == {k("f"): (0, 0), k("h"): (0, 0)}
+        assert cells(result.world)[k("f")] == (0.5, 6.5)
+        assert cells(result.world)[k("h")] == (4, 6)
+        assert result.notes == ("stratum f/2010: world mentioned cell corrected by 0.5",)
+
     def test_corrected_world_still_dominates_group_sum(self):
         world = CountProfile("world", {k("f"): CellCounts(0, 30)})
         groups = {

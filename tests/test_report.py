@@ -816,7 +816,7 @@ class TestCli:
         threads = min(os.cpu_count() or 1, 2)
         assert re.fullmatch(
             r"INFO zinorm\.synth: synth\.coverage_experiment \d+\.\d{3} s, "
-            rf"300 replications, 2 blocks, {threads} threads\n",
+            rf"300 replications, 2 blocks of 200 rows, {threads} threads\n",
             logged.stderr,
         )
 

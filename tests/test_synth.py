@@ -27,7 +27,7 @@ from zinorm import (
     write_synthetic,
 )
 from zinorm.errors import DegenerateComputationError
-from zinorm.indicators import emnpc, mhq, mnpc
+from zinorm.indicators import Estimate, emnpc, mhq, mnpc
 from zinorm.profiles import (
     WORLD_LABEL,
     CellCounts,
@@ -36,8 +36,9 @@ from zinorm.profiles import (
     continuity_correct,
 )
 from zinorm.synth import (
-    _BLOCK,
+    _BLOCK_ROWS,
     _block_counts,
+    _block_rows,
     _VALIDITY_KINDS,
     _replication_draws,
     _replication_estimates,
@@ -539,10 +540,9 @@ class TestCoverageExperiment:
         assert mhq["degenerate"] == 0
         assert 0.90 <= mhq["coverage"] <= 0.99
 
-    def test_blocks_and_threads_do_not_change_the_result(self, monkeypatch, caplog):
-        # One replication more than a block leaves a one-replication last block.
-        spec = WorldSpec.from_json(COVERAGE_SPEC)
-        reps = _BLOCK + 1
+    def _check_blocks_and_threads(self, spec, reps, monkeypatch, caplog):
+        rows = _block_rows(len(spec.strata))
+        blocks = -(-reps // rows)
         truths = true_indicator_values(spec, _VALIDITY_KINDS)
         expected = {
             key: tuple(counts)
@@ -553,9 +553,9 @@ class TestCoverageExperiment:
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
             with caplog.at_level(logging.INFO, logger="zinorm.synth"):
                 results.append(coverage_experiment(spec, reps))
-            threads = min(cpus or 1, 2)
+            threads = min(cpus or 1, blocks)
             assert caplog.messages[-1].endswith(
-                f"{reps} replications, 2 blocks, {threads} threads"
+                f"{reps} replications, {blocks} blocks of {rows} rows, {threads} threads"
             )
         threaded, single = results
         assert threaded == single
@@ -565,6 +565,60 @@ class TestCoverageExperiment:
             for kind, row in cells.items()
         }
         assert got == expected
+
+    def test_blocks_and_threads_do_not_change_the_result(self, monkeypatch, caplog):
+        # One replication more than a block leaves a one-replication last
+        # block; on 10 strata only the row cap sets the block.
+        spec = WorldSpec.from_json(COVERAGE_SPEC)
+        assert _block_rows(len(spec.strata)) == _BLOCK_ROWS
+        self._check_blocks_and_threads(spec, _BLOCK_ROWS + 1, monkeypatch, caplog)
+
+    def test_cell_budget_sets_the_block(self, monkeypatch, caplog):
+        # On 1000 strata the cell budget gives 100-row blocks: 201
+        # replications make two full blocks and a one-replication one.
+        strata = tuple(
+            StratumSpec(StratumKey(f"f{i}", 2000), 40, 0.1) for i in range(1000)
+        )
+        spec = WorldSpec(
+            seed=31, strata=strata, groups=(GroupSpec("g", (8,) * 1000, 2.0),)
+        )
+        assert _block_rows(len(spec.strata)) == 100
+        self._check_blocks_and_threads(spec, 201, monkeypatch, caplog)
+
+    def test_a_replications_estimates_do_not_depend_on_its_block(self):
+        # Every sum over the strata runs over a C-order row, so a
+        # replication's estimates are the same bits in a one-row block, in
+        # uneven blocks and in one block of all. Group h is absent from
+        # some strata, so its cells are gathered; 40 strata is more than
+        # numpy's pairwise summation adds in plain order.
+        strata = tuple(
+            StratumSpec(StratumKey(f"f{i}", 2000), 30, 0.1) for i in range(40)
+        )
+        spec = WorldSpec(
+            seed=99,
+            strata=strata,
+            groups=(
+                GroupSpec("g", (6,) * 40, 2.0),
+                GroupSpec("h", tuple(0 if i % 3 == 0 else 5 for i in range(40)), 0.5),
+            ),
+        )
+        whole = dict(_replication_estimates(spec, range(50)))
+        for blocks in (
+            [range(49, 50)],
+            [range(40, 50)],
+            [range(0, 1), range(1, 17), range(17, 49), range(49, 50)],
+        ):
+            parts = [dict(_replication_estimates(spec, reps)) for reps in blocks]
+            rows = slice(blocks[0].start, blocks[-1].stop)
+            for label, estimates in whole.items():
+                for kind, estimate in estimates.items():
+                    for field, value in zip(Estimate._fields, estimate):
+                        joined = np.concatenate(
+                            [getattr(part[label][kind], field) for part in parts]
+                        )
+                        assert np.array_equal(
+                            joined, value[rows], equal_nan=True
+                        ), (blocks, label, kind, field)
 
     def test_mnpc_over_covers_with_wide_intervals(self):
         # MNPC's interval adds its arms linearly: on the fixture spec it
